@@ -6,9 +6,9 @@ with a gradient buffer. There is no graph: every op exposes a *_fwd and a
 matching *_bwd, and the caller chains them in reverse order, passing back
 whatever the forward saved.
 
-Convolutions are 4x4 kernels evaluated as im2col + GEMM; the transposed
-convolution is the exact adjoint of the forward convolution (same stride and
-padding), realized as GEMM + strided scatter-add. Ops preserve the input
+Convolutions are 4x4 kernels with stride 2 and padding 1, evaluated as
+im2col + GEMM; the transposed convolution is the exact adjoint of the forward
+convolution, realized as GEMM + strided scatter-add. Ops preserve the input
 dtype, so gradient checks can run the whole stack in float64 while training
 runs in float32.
 """
@@ -21,6 +21,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ScrollbinError
 
 KERNEL = 4
+STRIDE = 2  # every convolution halves, every transposed convolution doubles
+PAD = 1
 
 
 class Param:
@@ -95,68 +97,69 @@ class BatchNormParams:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
+def _im2col(x: np.ndarray) -> tuple[np.ndarray, int, int]:
     b, c, _, _ = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))[:, :, ::stride, ::stride]
+    xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
+    win = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))[:, :, ::STRIDE, ::STRIDE]
     oh, ow = win.shape[2], win.shape[3]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * KERNEL * KERNEL)
     return cols, oh, ow
 
 
-def _corr(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    cols, oh, ow = _im2col(x, stride, pad)
+def _corr(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    cols, oh, ow = _im2col(x)
     out = cols @ w.reshape(w.shape[0], -1).T
     return out.reshape(x.shape[0], oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
 
 
-def _corr_weight_grad(x: np.ndarray, g: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    cols, oh, ow = _im2col(x, stride, pad)
+def _corr_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    cols, oh, ow = _im2col(x)
     co = g.shape[1]
     gmat = g.transpose(1, 0, 2, 3).reshape(co, -1)
     return (gmat @ cols).reshape(co, x.shape[1], KERNEL, KERNEL)
 
 
-def _corr_input_grad(g: np.ndarray, w: np.ndarray, stride: int, pad: int, in_hw) -> np.ndarray:
+def _corr_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Adjoint of _corr: scatter g (b, co, oh, ow) back to (b, ci, 2*oh, 2*ow)."""
     b, co, oh, ow = g.shape
     ci = w.shape[1]
-    h, w_sp = in_hw
+    h, w_sp = STRIDE * oh, STRIDE * ow
     gmat = g.transpose(1, 0, 2, 3).reshape(co, -1)
     colg = (w.reshape(co, -1).T @ gmat).reshape(ci, KERNEL, KERNEL, b, oh, ow)
-    buf = np.zeros((b, ci, h + 2 * pad, w_sp + 2 * pad), dtype=g.dtype)
+    buf = np.zeros((b, ci, h + 2 * PAD, w_sp + 2 * PAD), dtype=g.dtype)
     for kh in range(KERNEL):
         for kw in range(KERNEL):
-            # windows at a fixed tap never overlap for stride >= 1, so plain adds suffice
-            buf[:, :, kh : kh + stride * oh : stride, kw : kw + stride * ow : stride] += colg[
+            # windows at a fixed tap never overlap, so plain adds suffice
+            buf[:, :, kh : kh + STRIDE * oh : STRIDE, kw : kw + STRIDE * ow : STRIDE] += colg[
                 :, kh, kw
             ].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(buf[:, :, pad : pad + h, pad : pad + w_sp])
+    return np.ascontiguousarray(buf[:, :, PAD : PAD + h, PAD : PAD + w_sp])
 
 
 # ---------------------------------------------------------------------------
-# Convolution (stride 2, pad 1: halves the spatial dims)
+# Convolution (halves the spatial dims)
 # ---------------------------------------------------------------------------
 
 
-def conv2d_fwd(x: np.ndarray, p: ConvParams, stride: int = 2, pad: int = 1) -> np.ndarray:
+def conv2d_fwd(x: np.ndarray, p: ConvParams) -> np.ndarray:
     b, c, h, w = x.shape
     if c != p.in_ch:
         raise ScrollbinError(f"conv input has {c} channels, weights expect {p.in_ch}")
     if h % 2 or w % 2 or h < 2 or w < 2:
         raise ScrollbinError(f"conv input spatial dims must be even and >= 2, got {h}x{w}")
-    out = _corr(x, p.weight.data, stride, pad)
+    out = _corr(x, p.weight.data)
     out += p.bias.data[None, :, None, None]
     return out
 
 
-def conv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray, stride: int = 2, pad: int = 1) -> np.ndarray:
+def conv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray:
     """Accumulates weight/bias grads into p and returns the input gradient."""
     expect = (x.shape[0], p.out_ch, x.shape[2] // 2, x.shape[3] // 2)
     if grad_out.shape != expect:
         raise ScrollbinError(f"conv grad_out shape {grad_out.shape}, expected {expect}")
-    p.weight.grad += _corr_weight_grad(x, grad_out, stride, pad)
+    p.weight.grad += _corr_weight_grad(x, grad_out)
     p.bias.grad += grad_out.sum(axis=(0, 2, 3))
-    return _corr_input_grad(grad_out, p.weight.data, stride, pad, x.shape[2:])
+    return _corr_input_grad(grad_out, p.weight.data)
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +167,22 @@ def conv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray, stride: int =
 # ---------------------------------------------------------------------------
 
 
-def deconv2d_fwd(x: np.ndarray, p: ConvParams, stride: int = 2, pad: int = 1) -> np.ndarray:
-    b, c, h, w = x.shape
+def deconv2d_fwd(x: np.ndarray, p: ConvParams) -> np.ndarray:
+    c = x.shape[1]
     if c != p.weight.shape[0]:
         raise ScrollbinError(f"deconv input has {c} channels, weights expect {p.weight.shape[0]}")
-    out_hw = (stride * (h - 1) + KERNEL - 2 * pad, stride * (w - 1) + KERNEL - 2 * pad)
-    out = _corr_input_grad(x, p.weight.data, stride, pad, out_hw)
+    out = _corr_input_grad(x, p.weight.data)
     out += p.bias.data[None, :, None, None]
     return out
 
 
-def deconv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray, stride: int = 2, pad: int = 1) -> np.ndarray:
+def deconv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray:
     expect_ch = p.weight.shape[1]
     if grad_out.shape[1] != expect_ch:
         raise ScrollbinError(f"deconv grad_out has {grad_out.shape[1]} channels, expected {expect_ch}")
-    p.weight.grad += _corr_weight_grad(grad_out, x, stride, pad)
+    p.weight.grad += _corr_weight_grad(grad_out, x)
     p.bias.grad += grad_out.sum(axis=(0, 2, 3))
-    return _corr(grad_out, p.weight.data, stride, pad)
+    return _corr(grad_out, p.weight.data)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ weights format.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +72,22 @@ class DecoderStage:
 
 
 @dataclass
+class StageTrace:
+    """What one stage's forward keeps for its backward.
+
+    z is the pre-activation (after batch norm and dropout) and out the
+    activation of z. bn_cache is None when the stage has no batch norm or ran
+    in eval mode; keep is None when no dropout was applied.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    out: np.ndarray
+    bn_cache: tuple | None
+    keep: np.ndarray | None = None
+
+
+@dataclass
 class NetParams:
     """All layer parameters plus batch-norm running statistics.
 
@@ -124,8 +139,6 @@ class TrainConfig:
     batch_size: int = 1
     beta1: float = 0.5
     beta2: float = 0.999
-    ink_target: float = -1.0
-    background_target: float = 1.0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -141,13 +154,17 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+def _dropout_flags(n: int, stages: tuple[int, ...] = DROPOUT_STAGES) -> list[bool]:
+    """Dropout flag per decoder stage: the listed stages, never the output stage."""
+    return [j in stages and j < n - 1 for j in range(n)]
+
+
 def build_model(
     in_channels: int,
     seed: int,
     encoder_channels: tuple[int, ...] = ENCODER_CHANNELS,
     decoder_channels: tuple[int, ...] = DECODER_CHANNELS,
     dropout_stages: tuple[int, ...] = DROPOUT_STAGES,
-    bottleneck_norm: bool = False,
     dtype=np.float32,
 ) -> NetParams:
     """Build a freshly initialized model.
@@ -155,8 +172,8 @@ def build_model(
     Conv weights are drawn Normal(0, 0.02), biases start at zero, batch-norm
     gamma is Normal(1, 0.02) with beta zero and running stats (0, 1). The
     first encoder stage and the final decoder stage carry no batch norm; the
-    innermost encoder stage skips it too unless bottleneck_norm is set,
-    because its 1x1 output cannot be normalized at batch size 1.
+    innermost encoder stage skips it too, because its 1x1 output cannot be
+    normalized at batch size 1.
     """
     if in_channels not in (1, 3):
         raise ScrollbinError(f"in_channels must be 1 or 3, got {in_channels}")
@@ -184,18 +201,16 @@ def build_model(
     prev = in_channels
     for i, ch in enumerate(encoder_channels):
         conv = conv_init(ch, prev)
-        use_bn = 0 < i < n - 1 or (i == n - 1 and bottleneck_norm)
+        use_bn = 0 < i < n - 1
         encoder.append(EncoderStage(conv, bn_init(ch) if use_bn else None))
         prev = ch
 
     decoder = []
     prev = encoder_channels[-1]
-    for j, ch in enumerate(decoder_channels):
+    for j, (ch, drop) in enumerate(zip(decoder_channels, _dropout_flags(n, dropout_stages))):
         conv = deconv_init(prev, ch)
         is_last = j == n - 1
-        decoder.append(
-            DecoderStage(conv, None if is_last else bn_init(ch), j in dropout_stages and not is_last)
-        )
+        decoder.append(DecoderStage(conv, None if is_last else bn_init(ch), drop))
         # the next stage consumes this output concatenated with the mirror encoder feature
         prev = ch + encoder_channels[n - 2 - j] if not is_last else ch
 
@@ -218,42 +233,37 @@ def _check_input(params: NetParams, x: np.ndarray):
 
 
 def _forward_cached(params: NetParams, x: np.ndarray, train: bool, rng: np.random.Generator | None):
+    """Forward pass returning (output, (encoder traces, decoder traces))."""
     _check_input(params, x)
     n = len(params.encoder)
     if train and rng is None and any(st.drop for st in params.decoder):
         raise ScrollbinError("training forward needs an RNG for dropout masks")
 
-    enc_feats = []
-    enc_cache = []
+    enc: list[StageTrace] = []
     h = x
     for st in params.encoder:
         z = conv2d_fwd(h, st.conv)
         bn_cache = None
         if st.bn is not None:
             z, bn_cache = batchnorm_fwd(z, st.bn, train)
-        a = leaky_relu(z, LEAK)
-        enc_cache.append((h, bn_cache, z))
-        enc_feats.append(a)
-        h = a
+        enc.append(StageTrace(h, z, leaky_relu(z, LEAK), bn_cache))
+        h = enc[-1].out
 
-    dec_cache = []
-    out = None
+    dec: list[StageTrace] = []
     for j, st in enumerate(params.decoder):
         z = deconv2d_fwd(h, st.conv)
         bn_cache = None
         if st.bn is not None:
             z, bn_cache = batchnorm_fwd(z, st.bn, train)
         if j == n - 1:
-            out = tanh_act(z)
-            dec_cache.append((h, bn_cache, None, None, out))
+            dec.append(StageTrace(h, z, tanh_act(z), bn_cache))
         else:
-            mask = None
+            keep = None
             if st.drop and train:
-                z, mask = dropout(z, DROPOUT_RATE, True, rng)
-            a = leaky_relu(z, LEAK)
-            dec_cache.append((h, bn_cache, mask, z, None))
-            h = concat_channels(a, enc_feats[n - 2 - j])
-    return out, (enc_feats, enc_cache, dec_cache)
+                z, keep = dropout(z, DROPOUT_RATE, True, rng)
+            dec.append(StageTrace(h, z, leaky_relu(z, LEAK), bn_cache, keep))
+            h = concat_channels(dec[-1].out, enc[n - 2 - j].out)
+    return dec[-1].out, (enc, dec)
 
 
 def forward(params: NetParams, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
@@ -268,42 +278,37 @@ def activation_shapes(params: NetParams, x: np.ndarray):
     Returns (encoder_shapes, decoder_shapes); decoder shapes are the
     transposed-convolution outputs before skip concatenation.
     """
-    _, (enc_feats, _, dec_cache) = _forward_cached(params, x, train=False, rng=None)
-    enc_shapes = [f.shape for f in enc_feats]
-    dec_shapes = [(c[3] if c[3] is not None else c[4]).shape for c in dec_cache]
-    return enc_shapes, dec_shapes
+    _, (enc, dec) = _forward_cached(params, x, train=False, rng=None)
+    return [t.out.shape for t in enc], [t.out.shape for t in dec]
 
 
 def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
     """Accumulate parameter gradients for one cached training forward."""
-    enc_feats, enc_cache, dec_cache = cache
+    enc, dec = cache
     n = len(params.encoder)
     skip_grads: dict[int, np.ndarray] = {}
 
     g = grad_out
     for j in range(n - 1, -1, -1):
-        st = params.decoder[j]
-        x_in, bn_cache, mask, act_in, tanh_out = dec_cache[j]
+        st, t = params.decoder[j], dec[j]
         if j == n - 1:
-            gz = tanh_bwd(tanh_out, g)
+            gz = tanh_bwd(t.out, g)
         else:
-            g_act, g_skip = split_channels(g, st.conv.weight.shape[1])
-            skip_grads[n - 2 - j] = g_skip
-            gz = leaky_relu_bwd(act_in, g_act, LEAK)
-            gz = dropout_bwd(gz, mask, DROPOUT_RATE)
+            g_act, skip_grads[n - 2 - j] = split_channels(g, st.conv.weight.shape[1])
+            gz = leaky_relu_bwd(t.z, g_act, LEAK)
+            gz = dropout_bwd(gz, t.keep, DROPOUT_RATE)
         if st.bn is not None:
-            gz = batchnorm_bwd(st.bn, bn_cache, gz)
-        g = deconv2d_bwd(x_in, st.conv, gz)
+            gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
+        g = deconv2d_bwd(t.x, st.conv, gz)
 
     for i in range(n - 1, -1, -1):
-        st = params.encoder[i]
-        x_in, bn_cache, z = enc_cache[i]
+        st, t = params.encoder[i], enc[i]
         if i in skip_grads:
             g = g + skip_grads[i]
-        gz = leaky_relu_bwd(z, g, LEAK)
+        gz = leaky_relu_bwd(t.z, g, LEAK)
         if st.bn is not None:
-            gz = batchnorm_bwd(st.bn, bn_cache, gz)
-        g = conv2d_bwd(x_in, st.conv, gz)
+            gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
+        g = conv2d_bwd(t.x, st.conv, gz)
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +316,24 @@ def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def normalize_input(img: GrayImage | RgbImage, dtype=np.float32) -> np.ndarray:
-    """Map 8-bit pixels to [-1, 1]: v -> v/127.5 - 1. Output (1, C, H, W)."""
-    px = img.pixels.astype(dtype) / np.asarray(127.5, dtype) - np.asarray(1.0, dtype)
+def normalize_input(img: GrayImage | RgbImage) -> np.ndarray:
+    """Map 8-bit pixels to float32 in [-1, 1]: v -> v/127.5 - 1. Output (1, C, H, W)."""
+    px = img.pixels.astype(np.float32) / np.float32(127.5) - np.float32(1.0)
     if isinstance(img, GrayImage):
         return px[None, None, :, :]
     return px.transpose(2, 0, 1)[None]
 
 
-def mask_to_target(
-    mask: BinaryMask, ink_target: float = -1.0, background_target: float = 1.0, dtype=np.float32
-) -> np.ndarray:
-    """Training target: ink pixels -> ink_target, the rest -> background_target."""
-    return np.where(mask.ink, np.asarray(ink_target, dtype), np.asarray(background_target, dtype))[
-        None, None, :, :
-    ]
+def mask_to_target(mask: BinaryMask) -> np.ndarray:
+    """Training target (1, 1, H, W) in float32: ink pixels -> -1, the rest -> +1."""
+    return np.where(mask.ink, np.float32(-1.0), np.float32(1.0))[None, None, :, :]
 
 
-def denormalize_output(out: np.ndarray, threshold: float = 0.0) -> BinaryMask:
-    """Threshold one network output (1, 1, H, W): ink iff value < threshold."""
+def denormalize_output(out: np.ndarray) -> BinaryMask:
+    """Threshold one network output (1, 1, H, W): ink iff value < 0."""
     if out.ndim != 4 or out.shape[0] != 1 or out.shape[1] != 1:
         raise ScrollbinError(f"expected a (1, 1, H, W) output, got {out.shape}")
-    return BinaryMask(out[0, 0] < threshold)
+    return BinaryMask(out[0, 0] < 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +390,7 @@ def train(
             batch = order[start : start + cfg.batch_size]
             # patches stay 8-bit until they enter a batch
             x = np.concatenate([normalize_input(dataset[i][0]) for i in batch], axis=0)
-            t = np.concatenate(
-                [
-                    mask_to_target(dataset[i][1], cfg.ink_target, cfg.background_target)
-                    for i in batch
-                ],
-                axis=0,
-            )
+            t = np.concatenate([mask_to_target(dataset[i][1]) for i in batch], axis=0)
 
             out, cache = _forward_cached(model, x, train=True, rng=rng)
             loss, grad = l1_loss(out, t)
@@ -414,26 +409,19 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def binarize_image(params: NetParams, img: GrayImage | RgbImage, threads: int = 1) -> BinaryMask:
+def binarize_image(params: NetParams, img: GrayImage | RgbImage) -> BinaryMask:
     """Binarize an image of any size: tile, run each patch, stitch the masks.
 
-    Inference is eval-mode and a pure function of (params, img); patches may
-    be processed by multiple worker threads without changing the result.
+    Inference is eval-mode and a pure function of (params, img). Patches run
+    one after another in the calling thread, because each convolution is a
+    BLAS GEMM that already spreads over every core; threads over patches
+    only contend with it.
     """
     channels = 1 if isinstance(img, GrayImage) else 3
     if channels != params.in_channels:
         raise ScrollbinError(f"image has {channels} channel(s), model expects {params.in_channels}")
     grid = split_patches(img, params.patch)
-
-    def run(patch):
-        out = forward(params, normalize_input(patch))
-        return denormalize_output(out)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            masks = list(pool.map(run, grid.patches))
-    else:
-        masks = [run(p) for p in grid.patches]
+    masks = [denormalize_output(forward(params, normalize_input(p))) for p in grid.patches]
     return reassemble(grid.with_patches(masks))
 
 
@@ -495,7 +483,13 @@ def load_weights(path) -> NetParams:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8", errors="strict")
+        raw_name = rd.take(name_len)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightsFormatError(
+                f"tensor name ending at offset {rd.pos} is not valid UTF-8"
+            ) from None
         (rank,) = rd.unpack("<B")
         if rank > 4:
             raise WeightsFormatError(f"tensor {name!r} has rank {rank} > 4")
@@ -531,13 +525,22 @@ def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> Net
         except KeyError:
             raise WeightsFormatError(f"missing tensor {name!r}") from None
 
-    def build_stage(prefix: str, i: int):
-        conv = ConvParams(grab(f"{prefix}{i}.conv.weight"), grab(f"{prefix}{i}.conv.bias"))
+    def vector(name: str, length: int) -> np.ndarray:
+        arr = grab(name)
+        if arr.shape != (length,):
+            raise WeightsFormatError(f"tensor {name!r} has shape {arr.shape}, expected ({length},)")
+        return arr
+
+    def build_stage(name: str, out_axis: int):
+        """out_axis: the weight axis that holds the op's output channels."""
+        conv = ConvParams(grab(f"{name}.conv.weight"), grab(f"{name}.conv.bias"))
+        ch = conv.weight.shape[out_axis]
+        vector(f"{name}.conv.bias", ch)
         bn = None
-        if f"{prefix}{i}.bn.gamma" in tensors:
-            bn = BatchNormParams(grab(f"{prefix}{i}.bn.gamma"), grab(f"{prefix}{i}.bn.beta"))
-            bn.running_mean = grab(f"{prefix}{i}.bn.running_mean")
-            bn.running_var = grab(f"{prefix}{i}.bn.running_var")
+        if f"{name}.bn.gamma" in tensors:
+            bn = BatchNormParams(vector(f"{name}.bn.gamma", ch), vector(f"{name}.bn.beta", ch))
+            bn.running_mean = vector(f"{name}.bn.running_mean", ch)
+            bn.running_var = vector(f"{name}.bn.running_var", ch)
         return conv, bn
 
     n_enc = _stage_count(tensors, "enc")
@@ -545,20 +548,16 @@ def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> Net
     if n_enc != n_dec:
         raise WeightsFormatError(f"stage count mismatch: {n_enc} encoder vs {n_dec} decoder")
 
-    encoder = []
-    for i in range(1, n_enc + 1):
-        conv, bn = build_stage("enc", i)
-        encoder.append(EncoderStage(conv, bn))
+    encoder = [EncoderStage(*build_stage(f"enc{i}", 0)) for i in range(1, n_enc + 1)]
     if encoder[0].conv.in_ch != in_channels:
         raise WeightsFormatError(
             f"first conv expects {encoder[0].conv.in_ch} channels, header says {in_channels}"
         )
 
-    decoder = []
-    drop_stages = set(range(min(3, n_dec - 1)))
-    for j in range(1, n_dec + 1):
-        conv, bn = build_stage("dec", j)
-        decoder.append(DecoderStage(conv, bn, (j - 1) in drop_stages))
+    decoder = [
+        DecoderStage(*build_stage(f"dec{j}", 1), drop)
+        for j, drop in enumerate(_dropout_flags(n_dec), start=1)
+    ]
 
     return NetParams(in_channels, encoder, decoder, step=step, seed=None)
 

@@ -55,11 +55,15 @@ def _read_mask(path) -> BinaryMask:
     return img
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
+def _threads(flag: int | None) -> int:
+    """--threads if given, else SCROLLBIN_THREADS, else 1; never below 1."""
     env = os.environ.get(THREADS_ENV)
-    return max(1, int(env)) if env else 1
+    if flag is None and env:
+        try:
+            flag = int(env)
+        except ValueError:
+            raise _UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    return max(1, flag or 1)
 
 
 def _format_metric(value: float) -> str:
@@ -233,7 +237,7 @@ def _cmd_binarize(args) -> int:
         raise ScrollbinError(f"{args.input}: input is already a bitmask")
     if isinstance(img, RgbImage) and model.in_channels == 1:
         img = to_grayscale(img)
-    mask = binet.binarize_image(model, img, threads=_threads(args))
+    mask = binet.binarize_image(model, img)
     write_pnm(mask, args.out)
     return 0
 
@@ -266,9 +270,8 @@ def _cmd_evaluate_set(args) -> int:
         pred_path, gt_path = entry
         return metrics.evaluate(_read_mask(pred_path), _read_mask(gt_path))
 
-    threads = _threads(args)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             records = list(pool.map(score, entries))
     else:
         records = [score(e) for e in entries]
@@ -360,7 +363,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: patches run serially, BLAS already uses every core")
     p.set_defaults(func=_cmd_binarize)
 
     p = sub.add_parser("evaluate", help="score a prediction against a ground truth")
@@ -382,6 +386,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "threads" in vars(args):
+            args.threads = _threads(args.threads)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -1,5 +1,5 @@
-"""Image value types plus bit-exact PNM (P1-P6) codecs, grayscale conversion,
-and bilinear resizing.
+"""Image value types plus bit-exact PNM (P1-P6) codecs and grayscale
+conversion.
 
 Pixel storage is numpy, row-major:
   GrayImage.pixels   uint8, shape (height, width)
@@ -316,41 +316,3 @@ def to_grayscale(img: RgbImage) -> GrayImage:
     luma = LUMA_R * rgb[:, :, 0] + LUMA_G * rgb[:, :, 1] + LUMA_B * rgb[:, :, 2]
     out = np.clip(np.floor(luma + 0.5), 0, 255).astype(np.uint8)
     return GrayImage(out)
-
-
-def resize_bilinear(img: GrayImage | RgbImage, scale: float):
-    """Resize by a positive scale factor with half-pixel-center bilinear sampling.
-
-    Output dimensions are round(dim * scale) and must be at least 1.
-    Values are rounded to the nearest integer.
-    """
-    if scale <= 0:
-        raise ScrollbinError(f"scale must be positive, got {scale}")
-    out_h = int(np.floor(img.height * scale + 0.5))
-    out_w = int(np.floor(img.width * scale + 0.5))
-    if out_h < 1 or out_w < 1:
-        raise ScrollbinError(f"scale {scale} collapses {img.width}x{img.height} to an empty image")
-
-    src = img.pixels.astype(np.float64)
-    if src.ndim == 2:
-        src = src[:, :, None]
-
-    # half-pixel centers: dst pixel i samples source coordinate (i + 0.5)/scale - 0.5
-    ys = np.clip((np.arange(out_h) + 0.5) / scale - 0.5, 0, img.height - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) / scale - 0.5, 0, img.width - 1)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, img.height - 1)
-    x1 = np.minimum(x0 + 1, img.width - 1)
-    fy = (ys - y0)[:, None, None]
-    fx = (xs - x0)[None, :, None]
-
-    # a + t*(b-a) keeps constant regions exact
-    top = src[y0][:, x0] + fx * (src[y0][:, x1] - src[y0][:, x0])
-    bot = src[y1][:, x0] + fx * (src[y1][:, x1] - src[y1][:, x0])
-    out = top + fy * (bot - top)
-    out = np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
-
-    if isinstance(img, GrayImage):
-        return GrayImage(out[:, :, 0])
-    return RgbImage(out)

@@ -226,6 +226,15 @@ class TestModelCommands:
         out = tmp_path / "out.pbm"
         assert main(["binarize", "--model", tiny_weights, "--input", src, "--out", str(out)]) == 0
 
+    def test_non_integer_threads_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SCROLLBIN_THREADS", "abc")
+        gt = write_mask(tmp_path / "gt.pbm", np.eye(8, dtype=bool))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{gt}\t{gt}\n")
+        assert main(["evaluate-set", "--pairs", str(manifest)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "SCROLLBIN_THREADS" in errors[0]
+
     def test_train_requires_matching_gt(self, tmp_path):
         write_gray(tmp_path / "a.pgm", np.zeros((16, 16)))
         code = main(

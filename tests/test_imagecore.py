@@ -7,7 +7,6 @@ from scrollbin.imagecore import (
     GrayImage,
     RgbImage,
     read_pnm,
-    resize_bilinear,
     to_grayscale,
     write_pnm,
 )
@@ -131,40 +130,6 @@ class TestGrayscale:
         v = np.arange(256, dtype=np.uint8)
         img = RgbImage(np.stack([v, v, v], axis=1)[None, :, :])
         assert np.array_equal(to_grayscale(img).pixels[0], v)
-
-
-class TestResize:
-    def test_half_scale_dimensions(self):
-        img = GrayImage(np.zeros((7216, 5412), dtype=np.uint8))
-        out = resize_bilinear(img, 0.5)
-        assert (out.width, out.height) == (2706, 3608)
-
-    def test_identity_scale(self):
-        rng = np.random.default_rng(4)
-        img = GrayImage(rng.integers(0, 256, (13, 9), dtype=np.uint8))
-        assert np.array_equal(resize_bilinear(img, 1.0).pixels, img.pixels)
-
-    def test_constant_stays_constant(self):
-        for scale in (0.3, 0.5, 1.7, 2.0):
-            img = GrayImage(np.full((11, 17), 143, dtype=np.uint8))
-            out = resize_bilinear(img, scale)
-            assert np.all(out.pixels == 143)
-
-    def test_rgb_resize(self):
-        rng = np.random.default_rng(5)
-        img = RgbImage(rng.integers(0, 256, (8, 8, 3), dtype=np.uint8))
-        out = resize_bilinear(img, 2.0)
-        assert (out.width, out.height) == (16, 16)
-
-    def test_zero_output_rejected(self):
-        img = GrayImage(np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(ScrollbinError):
-            resize_bilinear(img, 0.01)
-
-    def test_negative_scale_rejected(self):
-        img = GrayImage(np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(ScrollbinError):
-            resize_bilinear(img, -1.0)
 
 
 class TestInvariants:
