@@ -521,9 +521,12 @@ def _stage_count(tensors: dict, prefix: str) -> int:
 def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> NetParams:
     def grab(name: str) -> np.ndarray:
         try:
-            return tensors[name]
+            arr = tensors[name]
         except KeyError:
             raise WeightsFormatError(f"missing tensor {name!r}") from None
+        if not np.isfinite(arr).all():
+            raise WeightsFormatError(f"tensor {name!r} has non-finite values")
+        return arr
 
     def vector(name: str, length: int) -> np.ndarray:
         arr = grab(name)
@@ -549,15 +552,26 @@ def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> Net
         raise WeightsFormatError(f"stage count mismatch: {n_enc} encoder vs {n_dec} decoder")
 
     encoder = [EncoderStage(*build_stage(f"enc{i}", 0)) for i in range(1, n_enc + 1)]
-    if encoder[0].conv.in_ch != in_channels:
-        raise WeightsFormatError(
-            f"first conv expects {encoder[0].conv.in_ch} channels, header says {in_channels}"
-        )
-
     decoder = [
         DecoderStage(*build_stage(f"dec{j}", 1), drop)
         for j, drop in enumerate(_dropout_flags(n_dec), start=1)
     ]
+
+    # Each stage takes what its inputs give: enc1 the image channels, encoder
+    # i encoder i-1's output, dec1 the last encoder's, and decoder j > 1
+    # decoder j-1's output concatenated with its mirror encoder stage's.
+    def chain(name: str, takes: int, given: int):
+        if takes != given:
+            raise WeightsFormatError(f"tensor {name!r} takes {takes} input channels, its input has {given}")
+
+    given = in_channels
+    for i, st in enumerate(encoder, start=1):
+        chain(f"enc{i}.conv.weight", st.conv.in_ch, given)
+        given = st.conv.out_ch
+    for j, st in enumerate(decoder, start=1):
+        chain(f"dec{j}.conv.weight", st.conv.weight.shape[0], given)
+        if j < n_dec:
+            given = st.conv.weight.shape[1] + encoder[n_enc - 1 - j].conv.out_ch
 
     return NetParams(in_channels, encoder, decoder, step=step, seed=None)
 

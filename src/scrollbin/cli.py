@@ -254,15 +254,19 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_evaluate_set(args) -> int:
     entries = []
-    with open(args.pairs) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ScrollbinError(f"{args.pairs}:{lineno}: expected 'pred<TAB>gt'")
-            entries.append(parts)
+    with open(args.pairs, "rb") as fh:
+        data = fh.read()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ScrollbinError(f"{args.pairs}:{lineno}: not valid UTF-8") from None
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ScrollbinError(f"{args.pairs}:{lineno}: expected 'pred<TAB>gt'")
+        entries.append(parts)
     if not entries:
         raise ScrollbinError(f"{args.pairs}: empty manifest")
 

@@ -9,10 +9,17 @@ Pixel storage is numpy, row-major:
 Polarity is fixed across the codebase: True/1 means ink. In PBM terms ink is
 written as bit value 1 (black). Images are treated as immutable after
 construction; all functions here return new objects.
+
+PNM headers and plain payloads (P1-P3) share one grammar: a token is one or
+more ASCII decimal digits, tokens are separated by whitespace, and '#'
+starts a comment that runs to the end of its line. P1 digits may also be
+packed without separators. Bytes after the payload are ignored.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,118 +103,89 @@ Image = GrayImage | RgbImage | BinaryMask
 
 
 # ---------------------------------------------------------------------------
-# PNM decoding
+# PNM codec
 # ---------------------------------------------------------------------------
 
+# magic -> (image type, samples per pixel, plain encoding)
+_FORMATS = {
+    b"P1": (BinaryMask, 1, True),
+    b"P2": (GrayImage, 1, True),
+    b"P3": (RgbImage, 3, True),
+    b"P4": (BinaryMask, 1, False),
+    b"P5": (GrayImage, 1, False),
+    b"P6": (RgbImage, 3, False),
+}
+
+# Whitespace and comments, then one token. A comment must run to its newline
+# (or the end of the data): otherwise, when no token follows, the engine
+# backtracks into the comment and returns its tail as a token.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)")
+_COMMENT = re.compile(rb"#[^\n]*")
 _WHITESPACE = b" \t\r\n\v\f"
+_DIGITS = b"0123456789"
 
 
-class _Scanner:
-    """Tokenizer over the PNM header; tracks the byte offset for error reports."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _skip_space_and_comments(self):
-        d, n = self.data, len(self.data)
-        while self.pos < n:
-            c = self.data[self.pos : self.pos + 1]
-            if c in (b"#",):
-                # comment runs to end of line
-                nl = d.find(b"\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            elif c in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def next_token(self) -> bytes:
-        self._skip_space_and_comments()
-        if self.pos >= len(self.data):
-            raise PnmDecodeError("unexpected end of header", self.pos)
-        start = self.pos
-        d, n = self.data, len(self.data)
-        while self.pos < n and d[self.pos : self.pos + 1] not in _WHITESPACE:
-            if d[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        return d[start : self.pos]
-
-    def next_int(self, what: str) -> int:
-        at = self.pos
-        tok = self.next_token()
-        try:
-            value = int(tok)
-        except ValueError:
-            raise PnmDecodeError(f"expected integer for {what}, got {tok!r}", at) from None
-        if value < 0:
-            raise PnmDecodeError(f"{what} must be non-negative, got {value}", at)
-        return value
-
-    def skip_single_space(self):
-        """Consume the single whitespace byte that separates header from raw payload."""
-        if self.pos >= len(self.data):
-            raise PnmDecodeError("missing payload after header", self.pos)
-        if self.data[self.pos : self.pos + 1] not in _WHITESPACE:
-            raise PnmDecodeError("header not terminated by whitespace", self.pos)
-        self.pos += 1
+def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The decimal token after pos and the offset just past it."""
+    m = _TOKEN.match(data, pos)
+    if m is None:
+        raise PnmDecodeError("unexpected end of header", len(data))
+    try:
+        if m[1].isdigit():
+            return int(m[1]), m.end()
+    except ValueError:  # more digits than int() converts
+        pass
+    raise PnmDecodeError(f"expected integer for {what}, got {m[1]!r}", m.start())
 
 
-def _read_dims(sc: _Scanner) -> tuple[int, int]:
-    width = sc.next_int("width")
-    height = sc.next_int("height")
-    if width < 1 or height < 1:
-        raise PnmDecodeError(f"bad dimensions {width}x{height}", sc.pos)
-    return width, height
+def _sample_ok(token: bytes) -> bool:
+    return token.isdigit() and len(token.lstrip(b"0")) <= 3 and int(token[-3:]) <= 255
 
 
-def _read_maxval(sc: _Scanner):
-    at = sc.pos
-    maxval = sc.next_int("maxval")
-    if maxval != 255:
-        raise PnmDecodeError(f"only maxval 255 is supported, got {maxval}", at)
+def _plain_samples(data: bytes, pos: int, count: int) -> np.ndarray:
+    body = _COMMENT.sub(b"", data[pos:])
+    tokens = body.split(maxsplit=min(count, len(body)))
+    if len(tokens) > count:
+        body = body[: len(body) - len(tokens.pop())]  # drop what follows the payload
+    if not body.translate(None, _DIGITS + _WHITESPACE):
+        # Saturates rather than wraps; whitespace alone would parse as [0].
+        values = np.fromstring(body, dtype=np.int64, sep=" ")[: len(tokens)]
+        if values.max(initial=0) <= 255:
+            if len(values) < count:
+                raise PnmDecodeError(f"truncated payload: {len(values)} of {count} samples", len(data))
+            return values.astype(np.uint8)
+    bad = next(i for i, token in enumerate(tokens) if not _sample_ok(token))
+    at = next(itertools.islice(_TOKEN.finditer(data, pos), bad, None)).start()
+    raise PnmDecodeError(f"bad sample {tokens[bad][:16]!r}: need 0-255", at)
 
 
-def _plain_samples(sc: _Scanner, count: int, maxval: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        at = sc.pos
-        v = sc.next_int("sample")
-        if v > maxval:
-            raise PnmDecodeError(f"sample {v} exceeds maxval {maxval}", at)
-        out[i] = v
-    return out
-
-
-def _plain_bits(sc: _Scanner, count: int) -> np.ndarray:
+def _plain_bits(data: bytes, pos: int, count: int) -> np.ndarray:
     # Plain PBM allows digits to be packed without separators.
-    out = np.empty(count, dtype=np.bool_)
-    got = 0
-    d, n = sc.data, len(sc.data)
-    while got < count:
-        sc._skip_space_and_comments()
-        if sc.pos >= n:
-            raise PnmDecodeError(f"truncated P1 payload: {got} of {count} bits", sc.pos)
-        c = d[sc.pos]
-        if c == 0x30:  # '0'
-            out[got] = False
-        elif c == 0x31:  # '1'
-            out[got] = True
-        else:
-            raise PnmDecodeError(f"bad P1 bit {chr(c)!r}", sc.pos)
-        sc.pos += 1
-        got += 1
-    return out
+    digits = _COMMENT.sub(b"", data[pos:]).translate(None, _WHITESPACE)[:count]
+    bits = np.frombuffer(digits, dtype=np.uint8) - ord("0")
+    bad = np.flatnonzero(bits > 1)
+    if bad.size:
+        index = int(bad[0])
+        message = f"bad P1 bit {chr(digits[index])!r}"
+        for m in _TOKEN.finditer(data, pos):
+            if index < len(m[1]):
+                raise PnmDecodeError(message, m.start(1) + index)
+            index -= len(m[1])
+    if len(digits) < count:
+        raise PnmDecodeError(f"truncated P1 payload: {len(digits)} of {count} bits", len(data))
+    return bits
 
 
-def _raw_bytes(sc: _Scanner, count: int) -> np.ndarray:
-    available = len(sc.data) - sc.pos
+def _raw_bytes(data: bytes, pos: int, count: int) -> np.ndarray:
+    """count payload bytes after the single whitespace byte that ends the header."""
+    if pos >= len(data):
+        raise PnmDecodeError("missing payload after header", pos)
+    if data[pos] not in _WHITESPACE:
+        raise PnmDecodeError("header not terminated by whitespace", pos)
+    available = len(data) - pos - 1
     if available < count:
-        raise PnmDecodeError(f"truncated payload: need {count} bytes, have {available}", sc.pos)
-    buf = np.frombuffer(sc.data, dtype=np.uint8, count=count, offset=sc.pos)
-    sc.pos += count
-    return buf
+        raise PnmDecodeError(f"truncated payload: need {count} bytes, have {available}", pos + 1)
+    return np.frombuffer(data, dtype=np.uint8, count=count, offset=pos + 1)
 
 
 def read_pnm(path) -> Image:
@@ -221,50 +199,30 @@ def read_pnm(path) -> Image:
         data = fh.read()
     if len(data) < 2:
         raise PnmDecodeError("file too short for a PNM magic number", 0)
-    magic = data[:2]
-    sc = _Scanner(data)
-    sc.pos = 2
+    if data[:2] not in _FORMATS:
+        raise PnmDecodeError(f"unknown magic {data[:2]!r}", 0)
+    kind, channels, plain = _FORMATS[data[:2]]
 
-    if magic == b"P1":
-        width, height = _read_dims(sc)
-        bits = _plain_bits(sc, width * height)
-        return BinaryMask(bits.reshape(height, width))
-    if magic == b"P2":
-        width, height = _read_dims(sc)
-        _read_maxval(sc)
-        samples = _plain_samples(sc, width * height, 255)
-        return GrayImage(samples.reshape(height, width))
-    if magic == b"P3":
-        width, height = _read_dims(sc)
-        _read_maxval(sc)
-        samples = _plain_samples(sc, 3 * width * height, 255)
-        return RgbImage(samples.reshape(height, width, 3))
-    if magic == b"P4":
-        width, height = _read_dims(sc)
-        sc.skip_single_space()
-        row_bytes = (width + 7) // 8
-        packed = _raw_bytes(sc, row_bytes * height).reshape(height, row_bytes)
-        bits = np.unpackbits(packed, axis=1, count=width)
-        return BinaryMask(bits.astype(np.bool_))
-    if magic == b"P5":
-        width, height = _read_dims(sc)
-        _read_maxval(sc)
-        sc.skip_single_space()
-        samples = _raw_bytes(sc, width * height)
-        return GrayImage(samples.reshape(height, width).copy())
-    if magic == b"P6":
-        width, height = _read_dims(sc)
-        _read_maxval(sc)
-        sc.skip_single_space()
-        samples = _raw_bytes(sc, 3 * width * height)
-        return RgbImage(samples.reshape(height, width, 3).copy())
+    width, pos = _header_int(data, 2, "width")
+    height, pos = _header_int(data, pos, "height")
+    if width < 1 or height < 1:
+        raise PnmDecodeError(f"bad dimensions {width}x{height}", pos)
+    if kind is not BinaryMask:
+        maxval, end = _header_int(data, pos, "maxval")
+        if maxval != 255:
+            raise PnmDecodeError(f"only maxval 255 is supported, got {maxval}", pos)
+        pos = end
 
-    raise PnmDecodeError(f"unknown magic {magic!r}", 0)
-
-
-# ---------------------------------------------------------------------------
-# PNM encoding
-# ---------------------------------------------------------------------------
+    count = width * height * channels
+    if plain:
+        flat = (_plain_bits if kind is BinaryMask else _plain_samples)(data, pos, count)
+    elif kind is BinaryMask:
+        packed = _raw_bytes(data, pos, height * ((width + 7) // 8)).reshape(height, -1)
+        flat = np.unpackbits(packed, axis=1, count=width)
+    else:
+        flat = _raw_bytes(data, pos, count).copy()
+    pixels = flat.reshape((height, width, channels) if channels > 1 else (height, width))
+    return BinaryMask(pixels.view(np.bool_)) if kind is BinaryMask else kind(pixels)
 
 
 def write_pnm(image: Image, path, binary_encoding: bool = True) -> None:
@@ -274,26 +232,21 @@ def write_pnm(image: Image, path, binary_encoding: bool = True) -> None:
     with ink written as 1 (black). read_pnm(write_pnm(x)) reproduces x
     bit-exactly for every image type.
     """
-    if isinstance(image, GrayImage):
-        header = f"{'P5' if binary_encoding else 'P2'}\n{image.width} {image.height}\n255\n"
-        if binary_encoding:
-            payload = image.pixels.tobytes()
-        else:
-            payload = _plain_payload(image.pixels.reshape(-1, image.width))
-    elif isinstance(image, RgbImage):
-        header = f"{'P6' if binary_encoding else 'P3'}\n{image.width} {image.height}\n255\n"
-        if binary_encoding:
-            payload = image.pixels.tobytes()
-        else:
-            payload = _plain_payload(image.pixels.reshape(image.height, -1))
-    elif isinstance(image, BinaryMask):
-        header = f"{'P4' if binary_encoding else 'P1'}\n{image.width} {image.height}\n"
-        if binary_encoding:
-            payload = np.packbits(image.ink, axis=1).tobytes()
-        else:
-            payload = _plain_payload(image.ink.astype(np.uint8))
-    else:
+    magic = next(
+        (m for m, (kind, _, plain) in _FORMATS.items() if isinstance(image, kind) and plain != binary_encoding),
+        None,
+    )
+    if magic is None:
         raise ScrollbinError(f"cannot encode object of type {type(image).__name__}")
+    is_mask = isinstance(image, BinaryMask)
+    header = f"{magic.decode()}\n{image.width} {image.height}\n" + ("" if is_mask else "255\n")
+    rows = (image.ink.view(np.uint8) if is_mask else image.pixels).reshape(image.height, -1)
+    if not binary_encoding:
+        payload = _plain_payload(rows)
+    elif is_mask:
+        payload = np.packbits(rows, axis=1).tobytes()
+    else:
+        payload = rows.tobytes()
 
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

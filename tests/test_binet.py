@@ -4,7 +4,7 @@ import pytest
 from oracles import fd_gradient, max_rel_err
 
 from scrollbin import binet
-from scrollbin.autodiff import Param, l1_loss
+from scrollbin.autodiff import ConvParams, Param, l1_loss
 from scrollbin.binet import (
     ENCODER_CHANNELS,
     NetParams,
@@ -392,6 +392,24 @@ class TestWeightsFormat:
         path = tmp_path / "m.bnet"
         save_weights(m, path)
         with pytest.raises(WeightsFormatError, match="enc2.conv.bias"):
+            load_weights(path)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        m = tiny_model()
+        m.encoder[0].conv.weight.data[:] = np.nan
+        path = tmp_path / "m.bnet"
+        save_weights(m, path)
+        with pytest.raises(WeightsFormatError, match="enc1.conv.weight"):
+            load_weights(path)
+
+    def test_broken_channel_chain_rejected(self, tmp_path):
+        # 3-stage ladder: dec2 takes dec1's 4 channels plus enc2's 4, not 7.
+        m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
+        old = m.decoder[1].conv
+        m.decoder[1].conv = ConvParams(np.zeros((7, 4, 4, 4), np.float32), old.bias.data)
+        path = tmp_path / "m.bnet"
+        save_weights(m, path)
+        with pytest.raises(WeightsFormatError, match="dec2.conv.weight"):
             load_weights(path)
 
     def test_netparams_metadata(self):

@@ -114,6 +114,15 @@ class TestEvaluateSet:
         manifest.write_text("only-one-column\n")
         assert main(["evaluate-set", "--pairs", str(manifest), "--json"]) == 2
 
+    def test_manifest_not_utf8(self, tmp_path, capsys):
+        path = write_mask(tmp_path / "m.pbm", np.eye(8))
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_bytes(f"{path}\t{path}\n".encode() + b"\xff\xfe\tgt.pbm\n")
+        assert main(["evaluate-set", "--pairs", str(manifest), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}:2: not valid UTF-8")
+        assert "Traceback" not in err
+
     def test_text_report(self, tmp_path, capsys):
         path = write_mask(tmp_path / "m.pbm", np.eye(8))
         manifest = tmp_path / "pairs.tsv"

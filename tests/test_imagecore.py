@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollbin.errors import PnmDecodeError, ScrollbinError
 from scrollbin.imagecore import (
@@ -71,6 +75,121 @@ class TestReadPnm:
     def test_empty_file(self, tmp_path):
         with pytest.raises(PnmDecodeError):
             read_pnm(write_bytes(tmp_path / "a.pgm", b""))
+
+
+# (input, PnmDecodeError.offset). Offsets match the byte-at-a-time scanner the
+# codec replaced, except the rows marked "token rule": it read tokens with
+# int(), which also takes a sign or underscores; a token now has to be [0-9]+.
+MALFORMED = [
+    (b"P", 0),  # too short for a magic number
+    (b"P7 1 1 255\n\x00", 0),  # unknown magic
+    (b"P2 four 4 255\n", 2),  # bad header token: offset of the skip before it
+    (b"P2 # c\n2 x1 255\n", 8),
+    (b"P2 +5 1 255 0", 2),  # token rule
+    (b"P2 2 1 255 7 1_0", 12),  # token rule
+    (b"P2 2 1 255\n-0 3", 10),  # token rule
+    (b"P3 1 1 255\n  +5 1 2", 10),  # token rule
+    (b"P2 3 1 255 1 256 3", 12),  # sample above maxval mid-payload
+    (b"P2 2 1 255 25\x00 3", 10),  # NUL-suffixed sample
+    (b"P2 3 1 255 1 2", 14),  # truncated P2: end of data
+    (b"P2 3 1 255 1 2 # 3\n", 19),
+    (b"P2 1 1 # maxval never comes", 27),  # header ends inside a comment
+    (b"P2 1 1 " + b"#" * 40, 47),
+    (b"P1 3 1 1 # 2\n0 2", 15),  # bad P1 bit after a comment: that byte
+    (b"P1 2 2 10\n#x\n1z", 14),
+    (b"P1 4 1 10 1", 11),  # truncated P1
+    (b"P5 0 4 255\n", 6),  # bad dimensions: end of the height token
+    (b"P4 3 0\n", 6),
+    (b"P2 1 1 254 0", 6),  # unsupported maxval
+    (b"P5 1 1 255#\n\x07", 10),  # raw header not ended by whitespace
+    (b"P5 1 1 255", 10),  # raw header with no payload
+    (b"P6 2 1 255\n\x01\x02\x03", 11),  # truncated raw payload
+    (b"P4 9 2\n\x00\x00\x00", 7),
+]
+
+
+@pytest.mark.parametrize("data, offset", MALFORMED)
+def test_malformed_input_offset(tmp_path, data, offset):
+    with pytest.raises(PnmDecodeError) as err:
+        read_pnm(write_bytes(tmp_path / "bad.pnm", data))
+    assert err.value.offset == offset
+
+
+def test_bytes_after_plain_payload_ignored(tmp_path):
+    img = read_pnm(write_bytes(tmp_path / "a.pgm", b"P2 2 1 255 1 2 trailing junk 999"))
+    assert img.pixels.tolist() == [[1, 2]]
+    mask = read_pnm(write_bytes(tmp_path / "a.pbm", b"P1 2 1 01xyz"))
+    assert mask.ink.tolist() == [[False, True]]
+
+
+def _scatter(rng, tokens, packed=False) -> bytes:
+    """Join tokens with random whitespace runs and comments, or none if packed."""
+    out = []
+    for tok in tokens:
+        out.append(tok)
+        if packed and rng.random() < 0.7:
+            continue
+        gap = bytes(rng.choice(list(b" \t\r\n\v\f"), rng.integers(1, 4)).tolist())
+        if rng.random() < 0.3:
+            gap += b"#" + bytes(rng.integers(32, 127, rng.integers(0, 8)).tolist()) + b"\n"
+        out.append(gap)
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("magic", [b"P1", b"P2", b"P3"])
+def test_plain_round_trip_with_scattered_comments(tmp_path, magic):
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        h, w = (int(v) for v in rng.integers(1, 12, 2))
+        if magic == b"P1":
+            expect = rng.random((h, w)) < 0.5
+            header, samples = [magic, b"%d" % w, b"%d" % h], expect.astype(np.uint8).ravel()
+        else:
+            shape = (h, w, 3) if magic == b"P3" else (h, w)
+            expect = rng.integers(0, 256, shape, dtype=np.uint8)
+            header, samples = [magic, b"%d" % w, b"%d" % h, b"255"], expect.ravel()
+        # Only P1 digits may be packed without separators.
+        payload = _scatter(rng, [b"%d" % v for v in samples], packed=magic == b"P1")
+        data = _scatter(rng, header) + payload
+        img = read_pnm(write_bytes(tmp_path / f"{trial}.pnm", data))
+        assert np.array_equal(img.ink if magic == b"P1" else img.pixels, expect)
+
+
+PNM_FRAGMENTS = [b" ", b"\n", b"\t", b"# c\n", b"#", b"0", b"1", b"7", b"255", b"256",
+                 b"+", b"-", b"_", b"\x00", b"\xff", b"9" * 25, b"0" * 20]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.tuples(
+            st.sampled_from([b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"]),
+            st.lists(st.sampled_from(PNM_FRAGMENTS) | st.binary(max_size=4), max_size=24),
+        ).map(lambda t: t[0] + b"".join(t[1])),
+    )
+)
+def test_any_bytes_give_image_or_decode_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pnm"
+    path.write_bytes(data)
+    try:
+        img = read_pnm(path)
+    except PnmDecodeError:
+        return
+    assert isinstance(img, (GrayImage, RgbImage, BinaryMask))
+
+
+def test_huge_plain_header_allocates_by_payload(tmp_path):
+    path = write_bytes(tmp_path / "a.pgm", b"P2 100000 100000 255 1 2 3")
+    tracemalloc.start()
+    try:
+        with pytest.raises(PnmDecodeError) as err:
+            read_pnm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.offset == 26
+    assert peak < 1_000_000
 
 
 class TestWritePnm:
