@@ -14,6 +14,7 @@ weights format.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -143,8 +144,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ScrollbinError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ScrollbinError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ScrollbinError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ScrollbinError(f"batch_size must be >= 1, got {self.batch_size}")
 
@@ -392,15 +393,22 @@ def train(
             x = np.concatenate([normalize_input(dataset[i][0]) for i in batch], axis=0)
             t = np.concatenate([mask_to_target(dataset[i][1]) for i in batch], axis=0)
 
-            out, cache = _forward_cached(model, x, train=True, rng=rng)
-            loss, grad = l1_loss(out, t)
-            for p in params:
-                p.zero_grad()
-            backward(model, cache, grad)
-            adam_step(params, state, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+            # A diverging step overflows; the finiteness checks report it
+            # once, in place of a numpy warning per operation.
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, cache = _forward_cached(model, x, train=True, rng=rng)
+                loss, grad = l1_loss(out, t)
+                if not math.isfinite(loss):
+                    raise ScrollbinError(f"training diverged: loss is {loss} at step {model.step + 1}")
+                for p in params:
+                    p.zero_grad()
+                backward(model, cache, grad)
+                adam_step(params, state, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
             model.step += 1
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
+    if not all(np.isfinite(p.data).all() for p in params):
+        raise ScrollbinError(f"training diverged: weights are not finite after step {model.step}")
     return model, history
 
 
@@ -543,7 +551,10 @@ def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> Net
         if f"{name}.bn.gamma" in tensors:
             bn = BatchNormParams(vector(f"{name}.bn.gamma", ch), vector(f"{name}.bn.beta", ch))
             bn.running_mean = vector(f"{name}.bn.running_mean", ch)
-            bn.running_var = vector(f"{name}.bn.running_var", ch)
+            var_name = f"{name}.bn.running_var"
+            bn.running_var = vector(var_name, ch)
+            if (bn.running_var < 0).any():
+                raise WeightsFormatError(f"tensor {var_name!r} has negative values")
         return conv, bn
 
     n_enc = _stage_count(tensors, "enc")

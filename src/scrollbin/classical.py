@@ -4,7 +4,9 @@ All four map a GrayImage to a BinaryMask under the fixed convention that
 darker pixels are ink: a pixel is ink iff its value is <= the threshold.
 Local window statistics are computed over the window clamped to the image
 bounds, so only real pixels contribute. Windows must be odd so they center
-on the pixel; the conventional 70x70 window snaps to 71.
+on the pixel; the conventional 70x70 window snaps to 71. Niblack and Sauvola
+read the window mean and std from integral images. Local Otsu slides one
+histogram per column down the rows, so its memory is O(width x 256).
 """
 
 from __future__ import annotations
@@ -148,9 +150,6 @@ def sauvola(
 # Local Otsu
 # ---------------------------------------------------------------------------
 
-# Memory cap for one strip of the 256-bin integral histogram.
-_STRIP_BUDGET_BYTES = 256 * 1024 * 1024
-
 
 def otsu_local(img: GrayImage, window: int = DEFAULT_WINDOW) -> BinaryMask:
     """Per-pixel Otsu threshold over the edge-clamped window.
@@ -158,67 +157,58 @@ def otsu_local(img: GrayImage, window: int = DEFAULT_WINDOW) -> BinaryMask:
     A pixel is ink iff its value is <= the Otsu threshold of its own window
     histogram. Windows with a constant histogram have no valid split and the
     pixel is classified background, which keeps blank margins blank.
+
+    One histogram per column covers the rows of the current window and slides
+    down the image: each row adds the image rows entering the window and
+    subtracts those leaving it (Perreault & Hebert 2007). A prefix sum over
+    the columns then gives all window histograms of the row, so memory stays
+    O(width x 256). Their Otsu scan scores each split t by
+    (S0*n1 - S1*n0)^2 / (n0*n1) over the pixel counts n and value sums S
+    below (0) and above (1) t. The squared term can exceed int64, so it is
+    evaluated in float64 from exact int64 sums; the first maximum wins ties.
     """
     half = _check_window(window)
-    h, w = img.pixels.shape
-
-    strip = max(1, _STRIP_BUDGET_BYTES // ((w + 1) * 256 * 4) - (window + 1))
-    ink = np.empty((h, w), dtype=np.bool_)
-    for r0 in range(0, h, strip):
-        r1 = min(h, r0 + strip)
-        ink[r0:r1] = _otsu_local_strip(img.pixels, r0, r1, half)
-    return BinaryMask(ink)
-
-
-def _otsu_local_strip(pixels: np.ndarray, r0: int, r1: int, half: int) -> np.ndarray:
+    pixels = img.pixels
     h, w = pixels.shape
-    lo = max(0, r0 - half)
-    hi = min(h, r1 + half + 1)
-    sub = pixels[lo:hi]
-
-    onehot = sub[:, :, None] == np.arange(256, dtype=np.uint8)
-    integral = np.zeros((sub.shape[0] + 1, w + 1, 256), dtype=np.int32)
-    integral[1:, 1:] = onehot.astype(np.int32).cumsum(0).cumsum(1)
-
-    y0 = np.clip(np.arange(r0, r1) - half, 0, h) - lo
-    y1 = np.clip(np.arange(r0, r1) + half + 1, 0, h) - lo
+    y0, y1 = _window_bounds(h, half)
     x0, x1 = _window_bounds(w, half)
 
-    hists = (
-        integral[y1[:, None], x1[None, :]]
-        - integral[y0[:, None], x1[None, :]]
-        - integral[y1[:, None], x0[None, :]]
-        + integral[y0[:, None], x0[None, :]]
-    ).reshape(-1, 256)
+    # Row 0 stays zero so the cumulative sum is the prefix over columns.
+    cols = np.zeros((w + 1, 256), dtype=np.int32)
+    col = np.arange(1, w + 1)
+    # Work arrays are allocated once: fresh ones each row cost more in page
+    # faults than the arithmetic does.
+    prefix = np.empty((w + 1, 256), dtype=np.int64)
+    hists, tmp, n0, n1, s0 = np.empty((5, w, 256), dtype=np.int64)
+    score = np.empty((w, 256))
+    ink = np.empty((h, w), dtype=np.bool_)
+    top = bottom = 0
+    for r in range(h):
+        for y in range(bottom, y1[r]):
+            cols[col, pixels[y]] += 1
+        for y in range(top, y0[r]):
+            cols[col, pixels[y]] -= 1
+        top, bottom = y0[r], y1[r]
+        np.cumsum(cols, axis=0, out=prefix)
+        np.take(prefix, x1, axis=0, out=hists)
+        hists -= np.take(prefix, x0, axis=0, out=tmp)
 
-    thresholds = _otsu_thresholds_vectorized(hists)
-    values = pixels[r0:r1].reshape(-1).astype(np.int32)
-    out = (values <= thresholds) & (thresholds >= 0)
-    return out.reshape(r1 - r0, w)
-
-
-def _otsu_thresholds_vectorized(hists: np.ndarray) -> np.ndarray:
-    """Row-wise Otsu over a (P, 256) histogram batch; -1 marks degenerate rows.
-
-    Scores are (S0*n1 - S1*n0)^2 / (n0*n1). The squared term can exceed int64
-    so it is evaluated in float64; first-max argmax keeps ties deterministic.
-    """
-    out = np.full(hists.shape[0], -1, dtype=np.int32)
-    chunk = 16384
-    vals = np.arange(256, dtype=np.int64)
-    for start in range(0, hists.shape[0], chunk):
-        hc = hists[start : start + chunk].astype(np.int64)
-        n0 = hc.cumsum(axis=1)
-        s0 = (hc * vals).cumsum(axis=1)
-        n = n0[:, -1:]
-        s = s0[:, -1:]
-        n1 = n - n0
-        valid = (n0 > 0) & (n1 > 0)
-        diff = (s0 * n1 - (s - s0) * n0).astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = np.where(valid, diff * diff / (n0 * n1), -1.0)
-        t = score.argmax(axis=1).astype(np.int32)
-        degenerate = ~valid.any(axis=1)
-        t[degenerate] = -1
-        out[start : start + chunk] = t
-    return out
+        # n0, s0: count and value sum of the pixels <= each split t.
+        np.cumsum(hists, axis=1, out=n0)
+        hists *= np.arange(256)
+        np.cumsum(hists, axis=1, out=s0)
+        n, s = n0[:, -1:].copy(), s0[:, -1:].copy()
+        np.subtract(n, n0, out=n1)
+        # tmp = S0*n1 - S1*n0, with s0 turned into S1*n0 in place.
+        np.multiply(s0, n1, out=tmp)
+        np.subtract(s, s0, out=s0)
+        s0 *= n0
+        tmp -= s0
+        np.copyto(score, tmp)
+        score *= score
+        n1 *= n0  # zero where a class is empty
+        valid = n1 > 0
+        np.divide(score, n1, out=score, where=valid)
+        score[~valid] = -1.0
+        ink[r] = (pixels[r] <= score.argmax(axis=1)) & valid.any(axis=1)
+    return BinaryMask(ink)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import fd_gradient, max_rel_err
 
@@ -402,6 +404,16 @@ class TestWeightsFormat:
         with pytest.raises(WeightsFormatError, match="enc1.conv.weight"):
             load_weights(path)
 
+    def test_negative_running_var_rejected(self, tmp_path):
+        m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
+        for stage in m.encoder + m.decoder:
+            if stage.bn is not None:
+                stage.bn.running_var[:] = -5.0
+        path = tmp_path / "m.bnet"
+        save_weights(m, path)
+        with pytest.raises(WeightsFormatError, match=r"enc2\.bn\.running_var"):
+            load_weights(path)
+
     def test_broken_channel_chain_rejected(self, tmp_path):
         # 3-stage ladder: dec2 takes dec1's 4 channels plus enc2's 4, not 7.
         m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
@@ -411,6 +423,36 @@ class TestWeightsFormat:
         save_weights(m, path)
         with pytest.raises(WeightsFormatError, match="dec2.conv.weight"):
             load_weights(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["flip", "insert", "delete"]), st.integers(0, 2**16), st.integers(1, 255)),
+            max_size=4,
+        ),
+        st.none() | st.integers(0, 2**16),
+    )
+    def test_mutated_file_loads_or_raises_scrollbin_error(self, tmp_path_factory, mutations, cut):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bnet"
+        save_weights(build_model(1, 3, encoder_channels=(2, 2), decoder_channels=(2, 1)), path)
+        data = bytearray(path.read_bytes())
+        for op, pos, byte in mutations:
+            pos %= len(data) + 1
+            if op == "insert":
+                data.insert(pos, byte)
+            elif pos < len(data):
+                if op == "flip":
+                    data[pos] ^= byte
+                else:
+                    del data[pos]
+        if cut is not None:
+            del data[cut % (len(data) + 1) :]
+        path.write_bytes(bytes(data))
+        try:
+            loaded = load_weights(path)
+        except ScrollbinError:
+            return
+        assert isinstance(loaded, NetParams)
 
     def test_netparams_metadata(self):
         m = tiny_model(seed=123)

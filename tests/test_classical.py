@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import naive_otsu_local_mask, naive_window_stats, otsu_exact
 
@@ -154,14 +159,24 @@ class TestOtsuLocal:
             mask = otsu_local(gray(px), window=5)
             assert np.array_equal(mask.ink, naive_otsu_local_mask(px, 5))
 
-    def test_strip_boundaries_do_not_matter(self, monkeypatch):
-        import scrollbin.classical as classical
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20))), st.integers(3, 41))
+    @example(np.arange(0, 240, 7, dtype=np.uint8).reshape(5, 7), 4)  # even window
+    @example(np.arange(0, 240, 20, dtype=np.uint8).reshape(3, 4), 40)  # larger than the image
+    def test_matches_naive_oracle_any_image_and_window(self, px, window):
+        mask = otsu_local(gray(px), window=window)
+        assert np.array_equal(mask.ink, naive_otsu_local_mask(px, window))
 
+    def test_memory_is_per_row(self):
         rng = np.random.default_rng(14)
-        px = rng.integers(0, 256, (40, 21), dtype=np.uint8)
-        full = otsu_local(gray(px), window=7)
-        monkeypatch.setattr(classical, "_STRIP_BUDGET_BYTES", 1)  # force 1-row strips
-        assert np.array_equal(otsu_local(gray(px), window=7).ink, full.ink)
+        img = gray(rng.integers(0, 256, (250, 330)))
+        tracemalloc.start()
+        try:
+            otsu_local(img, window=71)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024 * 1024
 
 
 def test_interior_pixels_unaffected_by_clamping():

@@ -292,6 +292,27 @@ class TestModelCommands:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"f", "pf", "psnr", "drd"}
 
+    @pytest.mark.parametrize(
+        "lr, epochs, reason",
+        [("nan", 1, "lr must be positive and finite"), ("1e30", 3, "loss is nan at step 2"),
+         ("1e39", 1, "not finite after step 1")],
+    )
+    def test_diverging_training_writes_no_model(self, tmp_path, tiny_weights, capsys, lr, epochs, reason):
+        # the tiny model takes 16x16 patches: one training step per epoch
+        data = tmp_path / "data"
+        data.mkdir()
+        write_gray(data / "a.pgm", np.random.default_rng(12).integers(0, 256, (16, 16)))
+        write_mask(data / "a.gt.pbm", np.eye(16, dtype=bool))
+        out = tmp_path / "m.bnet"
+        code = main(
+            ["train", "--data", str(data), "--mode", "gray", "--init", tiny_weights,
+             "--epochs", str(epochs), "--lr", lr, "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+
     def test_bad_holdout_rejected(self, tmp_path):
         write_gray(tmp_path / "a.pgm", np.zeros((16, 16)))
         write_mask(tmp_path / "a.gt.pbm", np.zeros((16, 16)))
