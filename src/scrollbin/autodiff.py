@@ -2,15 +2,17 @@
 
 Activations flow through as plain numpy arrays of shape (batch, channels,
 height, width); learnable arrays live in Param objects that pair the value
-with a gradient buffer. There is no graph: every op exposes a *_fwd and a
-matching *_bwd, and the caller chains them in reverse order, passing back
-whatever the forward saved.
+with a gradient buffer, allocated on first use. There is no graph: every op
+exposes a *_fwd and a matching *_bwd, and the caller chains them in reverse
+order, passing back whatever the forward saved.
 
-Convolutions are 4x4 kernels with stride 2 and padding 1, evaluated as
-im2col + GEMM; the transposed convolution is the exact adjoint of the forward
-convolution, realized as GEMM + strided scatter-add. Ops preserve the input
-dtype, so gradient checks can run the whole stack in float64 while training
-runs in float32.
+Convolutions are 4x4 kernels with stride 2 and padding 1. Two helpers serve
+all four conv ops, forward and backward. _corr builds (channel*tap, pixel)
+columns and does one GEMM, whose result is already NCHW at batch 1.
+_corr_input_grad, the exact adjoint and so the transposed convolution, does
+one GEMM for all taps and then sums the four taps of each output phase. Ops
+preserve the input dtype, so gradient checks can run the whole stack in
+float64 while training runs in float32.
 """
 
 from __future__ import annotations
@@ -26,16 +28,31 @@ PAD = 1
 
 
 class Param:
-    """A learnable array plus its gradient accumulator."""
+    """A learnable array plus its gradient accumulator.
 
-    __slots__ = ("data", "grad")
+    The gradient buffer is allocated, zeroed, on first access, so a model
+    that only runs inference never holds one.
+    """
+
+    __slots__ = ("data", "_grad")
 
     def __init__(self, data: np.ndarray):
         self.data = data
-        self.grad = np.zeros_like(data)
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray):
+        self._grad = value
 
     def zero_grad(self):
-        self.grad.fill(0)
+        if self._grad is not None:
+            self._grad.fill(0)
 
     @property
     def shape(self):
@@ -98,42 +115,65 @@ class BatchNormParams:
 
 
 def _im2col(x: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Columns (c*16, b*oh*ow): a row per (channel, tap), a column per output pixel."""
     b, c, _, _ = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (PAD, PAD), (PAD, PAD)))
     win = sliding_window_view(xp, (KERNEL, KERNEL), axis=(2, 3))[:, :, ::STRIDE, ::STRIDE]
     oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * KERNEL * KERNEL)
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * KERNEL * KERNEL, b * oh * ow)
     return cols, oh, ow
 
 
 def _corr(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-2 correlation (b, ci, h, w) -> (b, co, h/2, w/2); C-contiguous at b = 1."""
     cols, oh, ow = _im2col(x)
-    out = cols @ w.reshape(w.shape[0], -1).T
-    return out.reshape(x.shape[0], oh, ow, w.shape[0]).transpose(0, 3, 1, 2)
+    out = w.reshape(w.shape[0], -1) @ cols
+    return out.reshape(w.shape[0], x.shape[0], oh, ow).transpose(1, 0, 2, 3)
 
 
 def _corr_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    cols, oh, ow = _im2col(x)
+    cols, _, _ = _im2col(x)
     co = g.shape[1]
     gmat = g.transpose(1, 0, 2, 3).reshape(co, -1)
-    return (gmat @ cols).reshape(co, x.shape[1], KERNEL, KERNEL)
+    return (gmat @ cols.T).reshape(co, x.shape[1], KERNEL, KERNEL)
+
+
+# Output row Y = STRIDE*y + kh - PAD receives input row y through tap kh, so
+# each output phase (Y mod 2) sums two taps: even rows Y = 2Y' take kh=1 at
+# y = Y' and kh=3 at y = Y'-1; odd rows Y = 2Y'+1 take kh=2 at y = Y' and kh=0
+# at y = Y'+1. Columns follow the same table. _PHASES[r] is (aligned tap,
+# shifted tap, shift) for output phase r.
+_PHASES = ((1, 3, -1), (2, 0, 1))
+
+
+def _shifted(n: int, shift: int) -> tuple[slice, slice]:
+    """(dst, src) slices of a length-n axis for dst[Y'] += src[Y' + shift]."""
+    return (slice(1, n), slice(0, n - 1)) if shift < 0 else (slice(0, n - 1), slice(1, n))
 
 
 def _corr_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Adjoint of _corr: scatter g (b, co, oh, ow) back to (b, ci, 2*oh, 2*ow)."""
+    """Adjoint of _corr: (b, co, oh, ow) -> (b, ci, 2*oh, 2*ow).
+
+    One GEMM gives every tap's contribution; each of the four output phases
+    then sums its four taps in one contiguous buffer, the shifted taps
+    clipped at the edge they would cross, and is written out once.
+    """
     b, co, oh, ow = g.shape
     ci = w.shape[1]
-    h, w_sp = STRIDE * oh, STRIDE * ow
     gmat = g.transpose(1, 0, 2, 3).reshape(co, -1)
-    colg = (w.reshape(co, -1).T @ gmat).reshape(ci, KERNEL, KERNEL, b, oh, ow)
-    buf = np.zeros((b, ci, h + 2 * PAD, w_sp + 2 * PAD), dtype=g.dtype)
-    for kh in range(KERNEL):
-        for kw in range(KERNEL):
-            # windows at a fixed tap never overlap, so plain adds suffice
-            buf[:, :, kh : kh + STRIDE * oh : STRIDE, kw : kw + STRIDE * ow : STRIDE] += colg[
-                :, kh, kw
-            ].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(buf[:, :, PAD : PAD + h, PAD : PAD + w_sp])
+    taps = (w.reshape(co, -1).T @ gmat).reshape(ci, KERNEL, KERNEL, b, oh, ow)
+    out = np.empty((b, ci, oh, STRIDE, ow, STRIDE), dtype=g.dtype)
+    acc = np.empty((ci, b, oh, ow), dtype=g.dtype)
+    for r, (ah, sh, dh) in enumerate(_PHASES):
+        rd, rs = _shifted(oh, dh)
+        for s, (aw, sw, dw) in enumerate(_PHASES):
+            cd, cs = _shifted(ow, dw)
+            np.copyto(acc, taps[:, ah, aw])
+            acc[:, :, rd] += taps[:, sh, aw, :, rs]
+            acc[:, :, :, cd] += taps[:, ah, sw, :, :, cs]
+            acc[:, :, rd, cd] += taps[:, sh, sw, :, rs, cs]
+            out[:, :, :, r, :, s] = acc.transpose(1, 0, 2, 3)
+    return out.reshape(b, ci, STRIDE * oh, STRIDE * ow)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +241,11 @@ def batchnorm_fwd(
     """
     if x.shape[1] != p.channels:
         raise ScrollbinError(f"batchnorm expects {p.channels} channels, got {x.shape[1]}")
+    if not train:
+        scale, shift = batchnorm_eval_affine(p)
+        return x * scale[None, :, None, None] + shift[None, :, None, None], None
     gamma = p.gamma.data[None, :, None, None]
     beta = p.beta.data[None, :, None, None]
-    if not train:
-        inv = 1.0 / np.sqrt(p.running_var + p.eps)
-        xhat = (x - p.running_mean[None, :, None, None]) * inv[None, :, None, None]
-        return gamma * xhat + beta, None
 
     count = x.shape[0] * x.shape[2] * x.shape[3]
     if count < 2:
@@ -220,6 +259,18 @@ def batchnorm_fwd(
         p.running_mean += m * (mean.astype(p.running_mean.dtype) - p.running_mean)
         p.running_var += m * (var.astype(p.running_var.dtype) - p.running_var)
     return gamma * xhat + beta, (xhat, inv)
+
+
+def batchnorm_eval_affine(p: BatchNormParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode batch norm as one per-channel affine: out = scale * x + shift.
+
+    scale = gamma / sqrt(running_var + eps) and shift = beta - running_mean *
+    scale, computed in float64 and rounded once to the parameters' dtype.
+    """
+    scale = p.gamma.data / np.sqrt(p.running_var.astype(np.float64) + p.eps)
+    shift = p.beta.data - p.running_mean * scale
+    dtype = p.gamma.data.dtype
+    return scale.astype(dtype), shift.astype(dtype)
 
 
 def batchnorm_bwd(p: BatchNormParams, cache: tuple, grad_out: np.ndarray) -> np.ndarray:

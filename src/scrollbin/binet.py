@@ -27,6 +27,7 @@ from .autodiff import (
     Param,
     adam_step,
     batchnorm_bwd,
+    batchnorm_eval_affine,
     batchnorm_fwd,
     concat_channels,
     conv2d_bwd,
@@ -267,10 +268,46 @@ def _forward_cached(params: NetParams, x: np.ndarray, train: bool, rng: np.rando
     return dec[-1].out, (enc, dec)
 
 
+def _affine_act(z: np.ndarray, bn: BatchNormParams | None, last: bool) -> np.ndarray:
+    """Eval batch norm, then LeakyReLU or, on the last stage, tanh; all in place on z."""
+    if bn is not None:
+        scale, shift = batchnorm_eval_affine(bn)
+        z *= scale[:, None, None]
+        z += shift[:, None, None]
+    if last:
+        return np.tanh(z, out=z)
+    return np.maximum(z, z * LEAK, out=z)  # LeakyReLU for a slope below 1
+
+
+def _forward_eval(params: NetParams, x: np.ndarray) -> np.ndarray:
+    """Eval forward that keeps only the skip features the decoder still needs."""
+    _check_input(params, x)
+    n = len(params.encoder)
+    skips = []
+    h = x
+    for st in params.encoder:
+        h = _affine_act(conv2d_fwd(h, st.conv), st.bn, False)
+        skips.append(h)
+    skips.pop()  # the innermost output feeds dec1 directly
+    for j, st in enumerate(params.decoder):
+        h = _affine_act(deconv2d_fwd(h, st.conv), st.bn, j == n - 1)
+        if skips:
+            h = concat_channels(h, skips.pop())
+    return h
+
+
 def forward(params: NetParams, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-    """Run the network; output shape (batch, 1, patch, patch), values in (-1, 1)."""
-    out, _ = _forward_cached(params, x, train, rng)
-    return out
+    """Run the network; output shape (batch, 1, patch, patch), values in (-1, 1).
+
+    Train mode runs the cached forward that backward needs. Eval mode keeps
+    no stage records: batch norm is its per-channel affine from the running
+    statistics, and it and the activations run in place on each stage's
+    output.
+    """
+    if train:
+        out, _ = _forward_cached(params, x, True, rng)
+        return out
+    return _forward_eval(params, x)
 
 
 def activation_shapes(params: NetParams, x: np.ndarray):
@@ -420,10 +457,11 @@ def train(
 def binarize_image(params: NetParams, img: GrayImage | RgbImage) -> BinaryMask:
     """Binarize an image of any size: tile, run each patch, stitch the masks.
 
-    Inference is eval-mode and a pure function of (params, img). Patches run
-    one after another in the calling thread, because each convolution is a
-    BLAS GEMM that already spreads over every core; threads over patches
-    only contend with it.
+    Inference is the eval forward, which keeps no training caches, and a
+    pure function of (params, img). Patches run one at a time in the calling
+    thread, because each convolution is a BLAS GEMM that already spreads over
+    every core; threads over patches only contend with it, and batching
+    patches measured barely faster while multiplying activation memory.
     """
     channels = 1 if isinstance(img, GrayImage) else 3
     if channels != params.in_channels:
@@ -460,11 +498,13 @@ def save_weights(params: NetParams, path) -> None:
 
 
 class _Reader:
+    """Reads a weights file from one buffer; take() returns views, not copies."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.pos + count > len(self.data):
             raise WeightsFormatError(
                 f"truncated weights file: wanted {count} bytes at offset {self.pos}"
@@ -493,7 +533,7 @@ def load_weights(path) -> NetParams:
         (name_len,) = rd.unpack("<H")
         raw_name = rd.take(name_len)
         try:
-            name = raw_name.decode("utf-8")
+            name = str(raw_name, "utf-8")
         except UnicodeDecodeError:
             raise WeightsFormatError(
                 f"tensor name ending at offset {rd.pos} is not valid UTF-8"
@@ -509,8 +549,11 @@ def load_weights(path) -> NetParams:
             elems *= d
         if elems > _MAX_TENSOR_ELEMS:
             raise WeightsFormatError(f"tensor {name!r} dimension overflow: {dims}")
-        raw = rd.take(4 * elems)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(dims)
+        # One copy into a fresh array: a view into the file buffer would be
+        # misaligned for BLAS, which then falls back to a much slower loop.
+        arr = np.empty(dims, dtype=np.float32)
+        arr.reshape(-1)[:] = np.frombuffer(rd.take(4 * elems), dtype="<f4")
+        tensors[name] = arr
     if rd.pos != len(rd.data):
         raise WeightsFormatError(f"{len(rd.data) - rd.pos} trailing bytes after last tensor")
 

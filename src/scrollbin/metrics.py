@@ -95,16 +95,28 @@ def _stroke_components(gt_ink: np.ndarray):
     return dist, labels, np.atleast_1d(comp_max)
 
 
+def _recall_weights(g: np.ndarray, components) -> np.ndarray:
+    dist, labels, comp_max = components
+    weights = np.zeros(g.shape, dtype=np.float64)
+    weights[g] = np.clip(dist[g] / comp_max[labels[g] - 1], 0.0, 1.0)
+    return weights
+
+
+def _precision_weights(g: np.ndarray, components) -> np.ndarray:
+    _, labels, comp_max = components
+    stroke_width = 2.0 * comp_max
+    d, (iy, ix) = ndimage.distance_transform_edt(~g, return_indices=True)
+    sw = stroke_width[labels[iy, ix] - 1]
+    return np.where(d <= sw, np.clip(2.0 - d / sw, 1.0, 2.0), 1.0)
+
+
 def recall_weights(gt: BinaryMask) -> np.ndarray:
     """Per-pixel recall weight in [0, 1]: zero off ink, and on ink the pixel's
     distance-to-background divided by the deepest distance of its component."""
     g = gt.ink
-    weights = np.zeros(g.shape, dtype=np.float64)
     if not g.any():
-        return weights
-    dist, labels, comp_max = _stroke_components(g)
-    weights[g] = np.clip(dist[g] / comp_max[labels[g] - 1], 0.0, 1.0)
-    return weights
+        return np.zeros(g.shape, dtype=np.float64)
+    return _recall_weights(g, _stroke_components(g))
 
 
 def precision_weights(gt: BinaryMask) -> np.ndarray:
@@ -114,23 +126,25 @@ def precision_weights(gt: BinaryMask) -> np.ndarray:
     g = gt.ink
     if not g.any():
         return np.ones(g.shape, dtype=np.float64)
-    _, labels, comp_max = _stroke_components(g)
-    stroke_width = 2.0 * comp_max
-    d, (iy, ix) = ndimage.distance_transform_edt(~g, return_indices=True)
-    sw = stroke_width[labels[iy, ix] - 1]
-    return np.where(d <= sw, np.clip(2.0 - d / sw, 1.0, 2.0), 1.0)
+    return _precision_weights(g, _stroke_components(g))
 
 
 def pseudo_f_measure(pred: BinaryMask, gt: BinaryMask) -> float:
-    """F formula over stroke-weighted recall and contour-band-weighted precision."""
+    """F formula over stroke-weighted recall and contour-band-weighted precision.
+
+    The stroke components (distance transform and 8-connected labelling) are
+    computed once and feed both weightings.
+    """
     _check_dims(pred, gt)
     c = confusion(pred, gt)
     if c.tp == 0:
         return 1.0 if c.fp == 0 and c.fn == 0 else 0.0
-    w_r = recall_weights(gt)
-    w_p = precision_weights(gt)
-    correct = pred.ink & gt.ink
-    p_recall = w_r[correct].sum() / w_r[gt.ink].sum()
+    g = gt.ink  # tp > 0, so the ground truth has ink
+    components = _stroke_components(g)
+    w_r = _recall_weights(g, components)
+    w_p = _precision_weights(g, components)
+    correct = pred.ink & g
+    p_recall = w_r[correct].sum() / w_r[g].sum()
     p_precision = w_p[correct].sum() / w_p[pred.ink].sum()
     return 2.0 * p_recall * p_precision / (p_recall + p_precision)
 

@@ -37,6 +37,57 @@ def naive_conv2d(x, w, b, stride=2, pad=1):
     return out
 
 
+def naive_deconv2d(x, w, b, stride=2, pad=1):
+    """Transposed convolution as a scatter: each input pixel adds its value
+    times the (in, out) kernel slice into a 4x4 output window, then the pad
+    border is cropped. Weight layout (in_ch, out_ch, kh, kw)."""
+    bs, ci, h, wd = x.shape
+    _, co, kh, kw = w.shape
+    oh = (h - 1) * stride - 2 * pad + kh
+    ow = (wd - 1) * stride - 2 * pad + kw
+    full = np.zeros((bs, co, oh + 2 * pad, ow + 2 * pad), dtype=x.dtype)
+    for n in range(bs):
+        for c in range(ci):
+            for y in range(h):
+                for z in range(wd):
+                    for o in range(co):
+                        for i in range(kh):
+                            for j in range(kw):
+                                full[n, o, y * stride + i, z * stride + j] += x[n, c, y, z] * w[c, o, i, j]
+    return full[:, :, pad : pad + oh, pad : pad + ow] + np.asarray(b)[None, :, None, None]
+
+
+def naive_binet_eval(params, x):
+    """Float64 eval forward of a BiNet model with the naive kernels above:
+    batch norm as (z - mean) / sqrt(var + eps) * gamma + beta from the
+    running statistics, LeakyReLU(0.2), skip concatenation, a tanh head."""
+
+    def f64(a):
+        return np.asarray(a, dtype=np.float64)
+
+    def col(v):
+        return f64(v)[None, :, None, None]
+
+    def norm_act(z, bn, last):
+        if bn is not None:
+            z = (z - col(bn.running_mean)) / np.sqrt(col(bn.running_var) + bn.eps)
+            z = z * col(bn.gamma.data) + col(bn.beta.data)
+        return np.tanh(z) if last else np.where(z > 0, z, 0.2 * z)
+
+    n = len(params.encoder)
+    feats = []
+    h = f64(x)
+    for st in params.encoder:
+        h = norm_act(naive_conv2d(h, f64(st.conv.weight.data), f64(st.conv.bias.data)), st.bn, False)
+        feats.append(h)
+    for j, st in enumerate(params.decoder):
+        z = naive_deconv2d(h, f64(st.conv.weight.data), f64(st.conv.bias.data))
+        h = norm_act(z, st.bn, j == n - 1)
+        if j < n - 1:
+            h = np.concatenate([h, feats[n - 2 - j]], axis=1)
+    return h
+
+
 # ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------

@@ -62,6 +62,12 @@ class TestConvForward:
         x = rng.normal(0, 1, (2, 3, 6, 8))
         p = rand_conv(rng, 2, 3)
         assert np.max(np.abs(conv2d_fwd(x, p) - naive_conv2d(x, p.weight.data, p.bias.data))) < 1e-5
+        # every padded tap meets an edge on 2x2 inputs (1x1 out) and 4x2 ones
+        for shape in ((3, 3, 2, 2), (2, 3, 4, 2), (2, 3, 2, 6), (4, 3, 4, 4)):
+            x = rng.normal(0, 1, shape)
+            out = conv2d_fwd(x, p)
+            assert out.shape == (shape[0], 2, shape[2] // 2, shape[3] // 2)
+            assert np.max(np.abs(out - naive_conv2d(x, p.weight.data, p.bias.data))) < 1e-5
 
     def test_rejects_bad_inputs(self):
         rng = np.random.default_rng(3)
@@ -124,12 +130,16 @@ class TestDeconv:
         # <conv(x), y> == <x, deconv(y)> for shared weights and zero bias
         rng = np.random.default_rng(9)
         p = ConvParams(rng.normal(0, 1, (5, 3, 4, 4)), np.zeros(5))
-        x = rng.normal(0, 1, (2, 3, 8, 8))
-        y = rng.normal(0, 1, (2, 5, 4, 4))
-        lhs = float((conv2d_fwd(x, p) * y).sum())
         pb = ConvParams(p.weight.data, np.zeros(3))
-        rhs = float((x * deconv2d_fwd(y, pb)).sum())
-        assert abs(lhs - rhs) < 1e-4 * max(1.0, abs(lhs))
+        # deconv inputs of 1x1 and 2x2 (and 1-wide) clip every shifted tap
+        for b, h, w in ((2, 4, 4), (3, 1, 1), (2, 2, 2), (1, 1, 3), (2, 2, 1)):
+            x = rng.normal(0, 1, (b, 3, 2 * h, 2 * w))
+            y = rng.normal(0, 1, (b, 5, h, w))
+            lhs = float((conv2d_fwd(x, p) * y).sum())
+            up = deconv2d_fwd(y, pb)
+            assert up.shape == x.shape
+            rhs = float((x * up).sum())
+            assert abs(lhs - rhs) < 1e-4 * max(1.0, abs(lhs))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(10)

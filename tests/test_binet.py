@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient, max_rel_err
+from oracles import fd_gradient, max_rel_err, naive_binet_eval
 
 from scrollbin import binet
 from scrollbin.autodiff import ConvParams, Param, l1_loss
@@ -147,6 +149,45 @@ class TestForward:
             forward(m, np.zeros((1, 1, 32, 32), dtype=np.float32))
         with pytest.raises(ScrollbinError):
             forward(m, np.zeros((1, 3, 16, 16), dtype=np.float32))
+
+    def test_eval_matches_float64_reference(self):
+        # Non-trivial running stats, so the eval batch-norm affine is exercised;
+        # weights are scaled up so outputs spread over most of (-1, 1).
+        m = build_model(1, 41, encoder_channels=(8, 8, 8, 8), decoder_channels=(8, 8, 8, 1))
+        rng = np.random.default_rng(141)
+        for stage in m.encoder + m.decoder:
+            stage.conv.weight.data *= 10.0
+            stage.conv.bias.data[:] = rng.normal(0, 0.1, stage.conv.bias.data.shape)
+            if stage.bn is not None:
+                ch = stage.bn.channels
+                stage.bn.running_mean[:] = rng.uniform(-0.05, 0.05, ch)
+                stage.bn.running_var[:] = rng.uniform(0.5, 2.0, ch)
+                stage.bn.gamma.data[:] = rng.normal(1, 0.2, ch)
+                stage.bn.beta.data[:] = rng.normal(0, 0.1, ch)
+        x = rng.uniform(-1, 1, (2, 1, 16, 16)).astype(np.float32)
+        ref = naive_binet_eval(m, x)
+        out = forward(m, x)
+        assert out.dtype == np.float32
+        # float32 rounding over 8 stages stays near 1e-6 at these magnitudes
+        tol = 1e-6
+        assert np.max(np.abs(out - ref)) < tol
+        flipped = (out < 0) != (ref < 0)
+        assert np.all(np.abs(ref[flipped]) < tol)
+
+    def test_eval_runs_stages_through_module_names(self, monkeypatch):
+        # bench/spans.py times each forward stage by wrapping these two names
+        calls = {"conv2d_fwd": 0, "deconv2d_fwd": 0}
+        for name in calls:
+            original = getattr(binet, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(binet, name, counted)
+        m = build_model(1, 3, encoder_channels=(2,) * 8, decoder_channels=(2,) * 7 + (1,))
+        forward(m, np.zeros((1, 1, 256, 256), dtype=np.float32))
+        assert calls == {"conv2d_fwd": 8, "deconv2d_fwd": 8}
 
     def test_train_mode_with_dropout_needs_rng(self):
         m = tiny_model(dropout=(0,))
@@ -315,6 +356,26 @@ class TestWeightsFormat:
         assert params_equal(m, loaded)
         assert loaded.step == 123456789012
         assert loaded.in_channels == 3
+
+    def test_load_copies_each_tensor_once(self, tmp_path):
+        m = build_model(1, 3, encoder_channels=(32, 64, 128, 128), decoder_channels=(128, 64, 32, 1))
+        path = tmp_path / "m.bnet"
+        save_weights(m, path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_weights(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params_equal(m, loaded)
+        for name, arr in loaded.named_tensors():
+            assert arr.dtype == np.float32, name
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable, name
+        # The file buffer plus one copy of every tensor, and no gradient
+        # buffers: those would hold a second copy of the weights.
+        assert held < 1.25 * size
+        assert peak < 2.5 * size
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "m.bnet"
