@@ -2,9 +2,11 @@
 
 Activations flow through as plain numpy arrays of shape (batch, channels,
 height, width); learnable arrays live in Param objects that pair the value
-with a gradient buffer, allocated on first use. There is no graph: every op
+with the gradient of the latest backward. There is no graph: every op
 exposes a *_fwd and a matching *_bwd, and the caller chains them in reverse
-order, passing back whatever the forward saved.
+order, passing back whatever the forward saved. A *_bwd sets the gradients
+of its params rather than accumulating into them, so a param used twice in
+one forward would need its caller to sum the two gradients.
 
 Convolutions are 4x4 kernels with stride 2 and padding 1. Two helpers serve
 all four conv ops, forward and backward. _corr builds (channel*tap, pixel)
@@ -28,31 +30,13 @@ PAD = 1
 
 
 class Param:
-    """A learnable array plus its gradient accumulator.
+    """A learnable array plus its gradient, None until a backward sets it."""
 
-    The gradient buffer is allocated, zeroed, on first access, so a model
-    that only runs inference never holds one.
-    """
-
-    __slots__ = ("data", "_grad")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data: np.ndarray):
         self.data = data
-        self._grad: np.ndarray | None = None
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray):
-        self._grad = value
-
-    def zero_grad(self):
-        if self._grad is not None:
-            self._grad.fill(0)
+        self.grad: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -193,12 +177,12 @@ def conv2d_fwd(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 
 def conv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray:
-    """Accumulates weight/bias grads into p and returns the input gradient."""
+    """Sets p's weight/bias grads and returns the input gradient."""
     expect = (x.shape[0], p.out_ch, x.shape[2] // 2, x.shape[3] // 2)
     if grad_out.shape != expect:
         raise ScrollbinError(f"conv grad_out shape {grad_out.shape}, expected {expect}")
-    p.weight.grad += _corr_weight_grad(x, grad_out)
-    p.bias.grad += grad_out.sum(axis=(0, 2, 3))
+    p.weight.grad = _corr_weight_grad(x, grad_out)
+    p.bias.grad = grad_out.sum(axis=(0, 2, 3))
     return _corr_input_grad(grad_out, p.weight.data)
 
 
@@ -217,11 +201,12 @@ def deconv2d_fwd(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 
 def deconv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray:
+    """Sets p's weight/bias grads and returns the input gradient."""
     expect_ch = p.weight.shape[1]
     if grad_out.shape[1] != expect_ch:
         raise ScrollbinError(f"deconv grad_out has {grad_out.shape[1]} channels, expected {expect_ch}")
-    p.weight.grad += _corr_weight_grad(grad_out, x)
-    p.bias.grad += grad_out.sum(axis=(0, 2, 3))
+    p.weight.grad = _corr_weight_grad(grad_out, x)
+    p.bias.grad = grad_out.sum(axis=(0, 2, 3))
     return _corr(grad_out, p.weight.data)
 
 
@@ -274,10 +259,10 @@ def batchnorm_eval_affine(p: BatchNormParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batchnorm_bwd(p: BatchNormParams, cache: tuple, grad_out: np.ndarray) -> np.ndarray:
-    """Backward through train-mode normalization; accumulates gamma/beta grads."""
+    """Backward through train-mode normalization; sets the gamma/beta grads."""
     xhat, inv = cache
-    p.beta.grad += grad_out.sum(axis=(0, 2, 3))
-    p.gamma.grad += (grad_out * xhat).sum(axis=(0, 2, 3))
+    p.beta.grad = grad_out.sum(axis=(0, 2, 3))
+    p.gamma.grad = (grad_out * xhat).sum(axis=(0, 2, 3))
 
     dxhat = grad_out * p.gamma.data[None, :, None, None]
     mean_d = dxhat.mean(axis=(0, 2, 3), keepdims=True)

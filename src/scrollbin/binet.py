@@ -15,6 +15,8 @@ weights format.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -321,7 +323,12 @@ def activation_shapes(params: NetParams, x: np.ndarray):
 
 
 def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
-    """Accumulate parameter gradients for one cached training forward."""
+    """Set every parameter's gradient for one cached training forward.
+
+    Each parameter is used once per forward, so each gradient is written
+    once, replacing whatever the previous backward left; nothing needs
+    zeroing between steps.
+    """
     enc, dec = cache
     n = len(params.encoder)
     skip_grads: dict[int, np.ndarray] = {}
@@ -437,8 +444,6 @@ def train(
                 loss, grad = l1_loss(out, t)
                 if not math.isfinite(loss):
                     raise ScrollbinError(f"training diverged: loss is {loss} at step {model.step + 1}")
-                for p in params:
-                    p.zero_grad()
                 backward(model, cache, grad)
                 adam_step(params, state, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
             model.step += 1
@@ -481,81 +486,76 @@ def binarize_image(params: NetParams, img: GrayImage | RgbImage) -> BinaryMask:
 
 
 def save_weights(params: NetParams, path) -> None:
+    """Write the header, then each tensor straight from its array."""
     tensors = params.named_tensors()
-    chunks = [
-        WEIGHTS_MAGIC,
-        struct.pack("<IIQI", WEIGHTS_VERSION, params.in_channels, params.step, len(tensors)),
-    ]
-    for name, arr in tensors:
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f4", copy=False).tobytes())
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-class _Reader:
-    """Reads a weights file from one buffer; take() returns views, not copies."""
-
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
-        self.pos = 0
-
-    def take(self, count: int) -> memoryview:
-        if self.pos + count > len(self.data):
-            raise WeightsFormatError(
-                f"truncated weights file: wanted {count} bytes at offset {self.pos}"
-            )
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        fh.write(WEIGHTS_MAGIC)
+        fh.write(struct.pack("<IIQI", WEIGHTS_VERSION, params.in_channels, params.step, len(tensors)))
+        for name, arr in tensors:
+            encoded = name.encode("utf-8")
+            head = struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape)
+            fh.write(head)
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def load_weights(path) -> NetParams:
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
-    if rd.take(4) != WEIGHTS_MAGIC:
-        raise WeightsFormatError("bad magic: not a scrollbin weights file")
-    version, in_channels, step, count = rd.unpack("<IIQI")
-    if version != WEIGHTS_VERSION:
-        raise WeightsVersionError(f"unsupported weights version {version}, expected {WEIGHTS_VERSION}")
-    if in_channels not in (1, 3):
-        raise WeightsFormatError(f"bad in_channels {in_channels}")
+    """Read a weights file, each tensor straight into its own aligned array.
 
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = rd.unpack("<H")
-        raw_name = rd.take(name_len)
-        try:
-            name = str(raw_name, "utf-8")
-        except UnicodeDecodeError:
-            raise WeightsFormatError(
-                f"tensor name ending at offset {rd.pos} is not valid UTF-8"
-            ) from None
-        (rank,) = rd.unpack("<B")
-        if rank > 4:
-            raise WeightsFormatError(f"tensor {name!r} has rank {rank} > 4")
-        dims = rd.unpack(f"<{rank}I") if rank else ()
-        elems = 1
-        for d in dims:
-            if d == 0:
+    Every size is checked against the file's length before anything is
+    read or allocated, so a header cannot ask for more memory than the file
+    holds. That needs a length, so a pipe or other stream is refused.
+    """
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise WeightsFormatError(f"{path}: not a regular file")
+        size = st.st_size
+
+        def need(count: int) -> int:
+            """count, once the file is known to hold that many more bytes."""
+            pos = fh.tell()
+            if pos + count > size:
+                raise WeightsFormatError(f"truncated weights file: wanted {count} bytes at offset {pos}")
+            return count
+
+        def unpack(fmt: str):
+            return struct.unpack(fmt, fh.read(need(struct.calcsize(fmt))))
+
+        if fh.read(need(4)) != WEIGHTS_MAGIC:
+            raise WeightsFormatError("bad magic: not a scrollbin weights file")
+        version, in_channels, step, count = unpack("<IIQI")
+        if version != WEIGHTS_VERSION:
+            raise WeightsVersionError(f"unsupported weights version {version}, expected {WEIGHTS_VERSION}")
+        if in_channels not in (1, 3):
+            raise WeightsFormatError(f"bad in_channels {in_channels}")
+
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = unpack("<H")
+            raw_name = fh.read(need(name_len))
+            try:
+                name = str(raw_name, "utf-8")
+            except UnicodeDecodeError:
+                raise WeightsFormatError(
+                    f"tensor name ending at offset {fh.tell()} is not valid UTF-8"
+                ) from None
+            (rank,) = unpack("<B")
+            if rank > 4:
+                raise WeightsFormatError(f"tensor {name!r} has rank {rank} > 4")
+            dims = unpack(f"<{rank}I")
+            if 0 in dims:
                 raise WeightsFormatError(f"tensor {name!r} has a zero dimension")
-            elems *= d
-        if elems > _MAX_TENSOR_ELEMS:
-            raise WeightsFormatError(f"tensor {name!r} dimension overflow: {dims}")
-        # One copy into a fresh array: a view into the file buffer would be
-        # misaligned for BLAS, which then falls back to a much slower loop.
-        arr = np.empty(dims, dtype=np.float32)
-        arr.reshape(-1)[:] = np.frombuffer(rd.take(4 * elems), dtype="<f4")
-        tensors[name] = arr
-    if rd.pos != len(rd.data):
-        raise WeightsFormatError(f"{len(rd.data) - rd.pos} trailing bytes after last tensor")
+            elems = math.prod(dims)
+            if elems > _MAX_TENSOR_ELEMS:
+                raise WeightsFormatError(f"tensor {name!r} dimension overflow: {dims}")
+            need(4 * elems)
+            # Read into a fresh array rather than view a file buffer: such a
+            # view can be misaligned, and BLAS then falls back to a slow loop.
+            arr = np.empty(dims, dtype="<f4")
+            fh.readinto(arr)
+            tensors[name] = arr
+        if fh.tell() != size:
+            raise WeightsFormatError(f"{size - fh.tell()} trailing bytes after last tensor")
 
     return _rebuild(in_channels, step, tensors)
 

@@ -56,14 +56,20 @@ def _read_mask(path) -> BinaryMask:
 
 
 def _threads(flag: int | None) -> int:
-    """--threads if given, else SCROLLBIN_THREADS, else 1; never below 1."""
+    """--threads if given, else SCROLLBIN_THREADS, else 1; below 1 is a usage error."""
     env = os.environ.get(THREADS_ENV)
+    source = "--threads"
     if flag is None and env:
         try:
             flag = int(env)
         except ValueError:
             raise _UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return max(1, flag or 1)
+        source = THREADS_ENV
+    if flag is None:
+        return 1
+    if flag < 1:
+        raise _UsageError(f"{source} must be at least 1, got {flag}")
+    return flag
 
 
 def _format_metric(value: float) -> str:
@@ -274,8 +280,9 @@ def _cmd_evaluate_set(args) -> int:
         pred_path, gt_path = entry
         return metrics.evaluate(_read_mask(pred_path), _read_mask(gt_path))
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(score, entries))
     else:
         records = [score(e) for e in entries]

@@ -204,8 +204,6 @@ def test_criterion_03_gradient_correctness():
     m, x, target = e2e_check_fixture()
     out, cache = binet._forward_cached(m, x, train=True, rng=None)
     _, grad = l1_loss(out, target)
-    for p in m.params():
-        p.zero_grad()
     binet.backward(m, cache, grad)
     loss = lambda: l1_loss(binet.forward(m, x, train=True), target)[0]
     worst = 0.0

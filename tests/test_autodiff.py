@@ -211,6 +211,45 @@ class TestBatchNorm:
         assert max_rel_err(p.beta.grad, fd_gradient(loss, p.beta.data)) < GRAD_TOL
 
 
+class TestGradientsOverwrite:
+    """A second backward through the same params leaves only its own gradients."""
+
+    @staticmethod
+    def _twice(bwd, make_params, grad_shape):
+        rng = np.random.default_rng(40)
+        first, second = rng.normal(0, 1, grad_shape), rng.normal(0, 1, grad_shape)
+        reused, fresh = make_params(), make_params()
+        bwd(reused, first)
+        bwd(reused, second)
+        bwd(fresh, second)
+        for a, b in zip(reused.params(), fresh.params()):
+            assert np.array_equal(a.grad, b.grad)
+
+    def test_conv(self):
+        x = np.random.default_rng(41).normal(0, 1, (1, 2, 4, 4))
+        self._twice(
+            lambda p, g: conv2d_bwd(x, p, g), lambda: rand_conv(np.random.default_rng(42), 3, 2), (1, 3, 2, 2)
+        )
+
+    def test_deconv(self):
+        x = np.random.default_rng(43).normal(0, 1, (1, 3, 2, 2))
+
+        def make():
+            rng = np.random.default_rng(44)
+            return ConvParams(rng.normal(0, 0.5, (3, 2, 4, 4)), rng.normal(0, 0.5, 2))
+
+        self._twice(lambda p, g: deconv2d_bwd(x, p, g), make, (1, 2, 4, 4))
+
+    def test_batchnorm(self):
+        x = np.random.default_rng(45).normal(0, 1, (2, 3, 3, 3))
+
+        def bwd(p, g):
+            _, cache = batchnorm_fwd(x, p, train=True, update_running=False)
+            batchnorm_bwd(p, cache, g)
+
+        self._twice(bwd, lambda: BatchNormParams(np.full(3, 1.1), np.full(3, 0.1)), x.shape)
+
+
 class TestActivations:
     def test_leaky_values(self):
         x = np.array([1.0, -1.0, 0.0])
@@ -344,13 +383,14 @@ class TestL1Loss:
 class TestAdam:
     def test_first_step_closed_form(self):
         p = Param(np.array([0.0]))
-        p.grad[:] = 1.0
+        p.grad = np.array([1.0])
         state = AdamState([p])
         adam_step([p], state, lr=2e-4, beta1=0.5, beta2=0.999)
         assert p.data[0] == pytest.approx(-2e-4, rel=1e-6)
 
     def test_zero_gradient_no_move(self):
         p = Param(np.array([3.25]))
+        p.grad = np.zeros(1)
         state = AdamState([p])
         for _ in range(10):
             adam_step([p], state)
@@ -362,12 +402,13 @@ class TestAdam:
         p = Param(np.array([1.0]))
         state = AdamState([p])
         for _ in range(5000):
-            p.grad[:] = 2.0 * p.data
+            p.grad = 2.0 * p.data
             adam_step([p], state, lr=1e-3, beta1=0.5, beta2=0.999)
         assert abs(p.data[0]) < 1e-3
 
     def test_step_counter(self):
         p = Param(np.zeros(3))
+        p.grad = np.zeros(3)
         state = AdamState([p])
         adam_step([p], state)
         adam_step([p], state)

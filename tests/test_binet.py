@@ -1,3 +1,5 @@
+import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -216,8 +218,6 @@ class TestEndToEndGradients:
             return l1_loss(forward(m, x, train=True), target)[0]
 
         _, grad = l1_loss(out, target)
-        for p in m.params():
-            p.zero_grad()
         backward(m, cache, grad)
 
         worst = 0.0
@@ -372,10 +372,20 @@ class TestWeightsFormat:
         for name, arr in loaded.named_tensors():
             assert arr.dtype == np.float32, name
             assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable, name
-        # The file buffer plus one copy of every tensor, and no gradient
-        # buffers: those would hold a second copy of the weights.
+        assert all(p.grad is None for p in loaded.params())
+        # One copy of every tensor: no whole-file buffer next to them, and no
+        # gradient buffers, which would hold a second copy of the weights.
         assert held < 1.25 * size
-        assert peak < 2.5 * size
+        assert peak < 1.1 * size
+
+        tracemalloc.start()
+        try:
+            save_weights(loaded, tmp_path / "again.bnet")
+            save_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "again.bnet").read_bytes() == path.read_bytes()
+        assert save_peak < 0.1 * size  # each tensor is written from its own array
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "m.bnet"
@@ -408,9 +418,28 @@ class TestWeightsFormat:
         with pytest.raises(WeightsFormatError, match="truncated"):
             load_weights(path)
 
-    def test_dimension_overflow_rejected(self, tmp_path):
-        import struct
+        # A header that claims a 1 GiB tensor over a 64-byte payload is
+        # refused before the tensor is allocated.
+        header = b"BNET" + struct.pack("<IIQI", 1, 1, 0, 1)
+        name = b"enc1.conv.weight"
+        tensor = struct.pack("<H", len(name)) + name + struct.pack("<B4I", 4, 16384, 1024, 4, 4)
+        path.write_bytes(header + tensor + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightsFormatError) as err:
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "truncated weights file: wanted 1073741824 bytes at offset 59"
+        assert peak < 1 << 20
 
+    def test_stream_rejected(self):
+        # the size checks need the file's length, which a device or pipe lacks
+        with pytest.raises(WeightsFormatError, match="not a regular file"):
+            load_weights(os.devnull)
+
+    def test_dimension_overflow_rejected(self, tmp_path):
         path = tmp_path / "m.bnet"
         header = b"BNET" + struct.pack("<IIQI", 1, 1, 0, 1)
         name = b"enc1.conv.weight"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from scrollbin import binet
+from scrollbin import binet, cli
 from scrollbin.cli import main
 from scrollbin.imagecore import BinaryMask, GrayImage, RgbImage, read_pnm, write_pnm
 
@@ -94,7 +94,7 @@ class TestEvaluateSet:
         assert list(payload["mean"].keys()) == ["f", "pf", "psnr", "drd"]
         assert payload["psnr_inf_count"] == 0
 
-    def test_threads_identical_output(self, tmp_path, capsys):
+    def test_threads_identical_output(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(3)
         lines = []
         for i in range(4):
@@ -107,6 +107,20 @@ class TestEvaluateSet:
         assert main(["evaluate-set", "--pairs", str(manifest), "--json"]) == 0
         single = capsys.readouterr().out
         assert main(["evaluate-set", "--pairs", str(manifest), "--json", "--threads", "4"]) == 0
+        assert capsys.readouterr().out == single
+
+        # A thread count above the CPU count starts only as many workers as CPUs.
+        asked = []
+
+        class RecordingPool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))  # never more threads than the cap
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert main(["evaluate-set", "--pairs", str(manifest), "--json", "--threads", "64"]) == 0
+        assert asked == [2]
         assert capsys.readouterr().out == single
 
     def test_bad_manifest_line(self, tmp_path):
@@ -243,6 +257,20 @@ class TestModelCommands:
         assert main(["evaluate-set", "--pairs", str(manifest)]) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "SCROLLBIN_THREADS" in errors[0]
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0"), (None, "-2")])
+    def test_threads_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("SCROLLBIN_THREADS", env)
+        gt = write_mask(tmp_path / "gt.pbm", np.eye(8, dtype=bool))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{gt}\t{gt}\n")
+        argv = ["evaluate-set", "--pairs", str(manifest)] + (["--threads", flag] if flag else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "at least 1" in errors[0]
+        assert captured.out == ""
 
     def test_train_requires_matching_gt(self, tmp_path):
         write_gray(tmp_path / "a.pgm", np.zeros((16, 16)))
