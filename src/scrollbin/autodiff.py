@@ -27,6 +27,10 @@ from .errors import ScrollbinError
 KERNEL = 4
 STRIDE = 2  # every convolution halves, every transposed convolution doubles
 PAD = 1
+# Elements per block of the memory-bound passes (Adam, finiteness checks).
+# A block of each of Adam's five operands then stays in a 2 MB L2; 16K and
+# 256K measured slower.
+CHUNK = 1 << 16
 
 
 class Param:
@@ -108,18 +112,21 @@ def _im2col(x: np.ndarray) -> tuple[np.ndarray, int, int]:
     return cols, oh, ow
 
 
-def _corr(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-2 correlation (b, ci, h, w) -> (b, co, h/2, w/2); C-contiguous at b = 1."""
-    cols, oh, ow = _im2col(x)
+def _corr(x: np.ndarray, w: np.ndarray, im: tuple | None = None) -> np.ndarray:
+    """Stride-2 correlation (b, ci, h, w) -> (b, co, h/2, w/2); C-contiguous at b = 1.
+
+    im is x's _im2col when the caller already built it.
+    """
+    cols, oh, ow = _im2col(x) if im is None else im
     out = w.reshape(w.shape[0], -1) @ cols
     return out.reshape(w.shape[0], x.shape[0], oh, ow).transpose(1, 0, 2, 3)
 
 
-def _corr_weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    cols, _, _ = _im2col(x)
+def _corr_weight_grad(cols: np.ndarray, g: np.ndarray, ci: int) -> np.ndarray:
+    """Weight gradient (co, ci, 4, 4) of _corr from its input's columns and g."""
     co = g.shape[1]
     gmat = g.transpose(1, 0, 2, 3).reshape(co, -1)
-    return (gmat @ cols.T).reshape(co, x.shape[1], KERNEL, KERNEL)
+    return (gmat @ cols.T).reshape(co, ci, KERNEL, KERNEL)
 
 
 # Output row Y = STRIDE*y + kh - PAD receives input row y through tap kh, so
@@ -181,7 +188,7 @@ def conv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray
     expect = (x.shape[0], p.out_ch, x.shape[2] // 2, x.shape[3] // 2)
     if grad_out.shape != expect:
         raise ScrollbinError(f"conv grad_out shape {grad_out.shape}, expected {expect}")
-    p.weight.grad = _corr_weight_grad(x, grad_out)
+    p.weight.grad = _corr_weight_grad(_im2col(x)[0], grad_out, x.shape[1])
     p.bias.grad = grad_out.sum(axis=(0, 2, 3))
     return _corr_input_grad(grad_out, p.weight.data)
 
@@ -205,9 +212,10 @@ def deconv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarr
     expect_ch = p.weight.shape[1]
     if grad_out.shape[1] != expect_ch:
         raise ScrollbinError(f"deconv grad_out has {grad_out.shape[1]} channels, expected {expect_ch}")
-    p.weight.grad = _corr_weight_grad(grad_out, x)
+    im = _im2col(grad_out)  # both GEMMs read grad_out's columns
+    p.weight.grad = _corr_weight_grad(im[0], x, expect_ch)
     p.bias.grad = grad_out.sum(axis=(0, 2, 3))
-    return _corr(grad_out, p.weight.data)
+    return _corr(grad_out, p.weight.data, im)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +274,14 @@ def batchnorm_bwd(p: BatchNormParams, cache: tuple, grad_out: np.ndarray) -> np.
 
     dxhat = grad_out * p.gamma.data[None, :, None, None]
     mean_d = dxhat.mean(axis=(0, 2, 3), keepdims=True)
-    mean_dx = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-    return inv[None, :, None, None] * (dxhat - mean_d - xhat * mean_dx)
+    prod = dxhat * xhat
+    mean_dx = prod.mean(axis=(0, 2, 3), keepdims=True)
+    # prod is reused for xhat*mean_dx. The last line must stay one expression:
+    # numpy may then write the result into the temporary dxhat - mean_d,
+    # which fixes the result's layout, and the reductions and GEMMs
+    # downstream follow that layout.
+    np.multiply(xhat, mean_dx, out=prod)
+    return inv[None, :, None, None] * (dxhat - mean_d - prod)
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +289,23 @@ def batchnorm_bwd(p: BatchNormParams, cache: tuple, grad_out: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
+def leaky_relu(x: np.ndarray, slope: float = 0.2, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, slope*x), which is LeakyReLU for a slope below 1; out may be x."""
+    leak = x * slope
+    return np.maximum(x, leak, out=leak if out is None else out)
 
 
 def leaky_relu_bwd(x: np.ndarray, grad_out: np.ndarray, slope: float = 0.2) -> np.ndarray:
-    # subgradient at exactly 0 fixed to the leak slope
-    return grad_out * np.where(x > 0, np.asarray(1.0, x.dtype), np.asarray(slope, x.dtype))
+    """grad_out times 1 where x > 0, and times slope elsewhere (at exactly 0 too)."""
+    # The slopes come back as a temporary, so numpy may write the product into
+    # them and the result then has x's layout, which the reductions and GEMMs
+    # downstream follow. Naming the slopes first would change that layout.
+    return grad_out * _leaky_slopes(x, slope)
+
+
+def _leaky_slopes(x: np.ndarray, slope: float) -> np.ndarray:
+    out = (x > 0).astype(x.dtype)
+    return np.maximum(out, slope, out=out)  # 1 or slope, for a slope below 1
 
 
 def tanh_act(x: np.ndarray) -> np.ndarray:
@@ -341,19 +365,26 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """np.isfinite(arr).all(), checked CHUNK elements at a time."""
+    flat = arr.reshape(-1)
+    return all(np.isfinite(flat[lo : lo + CHUNK]).all() for lo in range(0, flat.size, CHUNK))
+
+
 class AdamState:
     """First/second moment buffers plus the step counter, one pair per param."""
 
     def __init__(self, params: list[Param]):
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = [np.zeros_like(p.data, order="C") for p in params]
+        self.v = [np.zeros_like(p.data, order="C") for p in params]
         self.t = 0
-        self._scratch: np.ndarray | None = None
+        self._scratch: dict[np.dtype, np.ndarray] = {}
 
-    def scratch_for(self, p: Param) -> np.ndarray:
-        if self._scratch is None or self._scratch.size < p.data.size or self._scratch.dtype != p.data.dtype:
-            self._scratch = np.empty(p.data.size, dtype=p.data.dtype)
-        return self._scratch[: p.data.size].reshape(p.data.shape)
+    def scratch_for(self, dtype: np.dtype) -> np.ndarray:
+        """One CHUNK-element buffer per dtype."""
+        if dtype not in self._scratch:
+            self._scratch[dtype] = np.empty(CHUNK, dtype=dtype)
+        return self._scratch[dtype]
 
 
 def adam_step(
@@ -368,25 +399,40 @@ def adam_step(
 
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
     theta <- theta - lr * mhat / (sqrt(vhat) + eps)
-    with mhat = m/(1-b1^t), vhat = v/(1-b2^t). Everything runs in place
-    through one scratch buffer; the update is memory-bound otherwise.
+    with mhat = m/(1-b1^t), vhat = v/(1-b2^t). The update is memory-bound,
+    so it runs the whole op sequence over one CHUNK of every tensor before
+    moving on, through one CHUNK-sized scratch, and each chunk stays in
+    cache. Every op is elementwise, so chunking changes no output bit.
+
+    Params, moments and grads are updated through flat views, so every
+    param's data must be C-contiguous and every grad must have its param's
+    shape; otherwise ScrollbinError is raised before anything is updated.
     """
+    for i, p in enumerate(params):
+        if not p.data.flags.c_contiguous:
+            raise ScrollbinError(f"adam_step needs C-contiguous params; param {i} is not")
+        if p.grad is None or p.grad.shape != p.data.shape:
+            got = None if p.grad is None else p.grad.shape
+            raise ScrollbinError(f"param {i} has shape {p.data.shape} but its grad has {got}")
     state.t += 1
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
-        s = state.scratch_for(p)
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=s)
-        m += s
-        v *= beta2
-        np.multiply(g, g, out=s)
-        s *= 1.0 - beta2
-        v += s
-        np.divide(v, c2, out=s)
-        np.sqrt(s, out=s)
-        s += eps
-        np.divide(m, s, out=s)
-        s *= lr / c1
-        p.data -= s
+    for p, m_full, v_full in zip(params, state.m, state.v):
+        flat = [a.reshape(-1) for a in (p.data, p.grad, m_full, v_full)]
+        scratch = state.scratch_for(p.data.dtype)
+        for lo in range(0, p.data.size, CHUNK):
+            data, g, m, v = (a[lo : lo + CHUNK] for a in flat)
+            s = scratch[: data.size]
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=s)
+            m += s
+            v *= beta2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - beta2
+            v += s
+            np.divide(v, c2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= lr / c1
+            data -= s

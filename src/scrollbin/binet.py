@@ -28,6 +28,7 @@ from .autodiff import (
     ConvParams,
     Param,
     adam_step,
+    all_finite,
     batchnorm_bwd,
     batchnorm_eval_affine,
     batchnorm_fwd,
@@ -278,7 +279,7 @@ def _affine_act(z: np.ndarray, bn: BatchNormParams | None, last: bool) -> np.nda
         z += shift[:, None, None]
     if last:
         return np.tanh(z, out=z)
-    return np.maximum(z, z * LEAK, out=z)  # LeakyReLU for a slope below 1
+    return leaky_relu(z, LEAK, out=z)
 
 
 def _forward_eval(params: NetParams, x: np.ndarray) -> np.ndarray:
@@ -449,7 +450,7 @@ def train(
             model.step += 1
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
-    if not all(np.isfinite(p.data).all() for p in params):
+    if not all(all_finite(p.data) for p in params):
         raise ScrollbinError(f"training diverged: weights are not finite after step {model.step}")
     return model, history
 
@@ -575,7 +576,7 @@ def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> Net
             arr = tensors[name]
         except KeyError:
             raise WeightsFormatError(f"missing tensor {name!r}") from None
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise WeightsFormatError(f"tensor {name!r} has non-finite values")
         return arr
 

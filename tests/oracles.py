@@ -89,6 +89,78 @@ def naive_binet_eval(params, x):
 
 
 # ---------------------------------------------------------------------------
+# Whole-tensor training-op formulas
+# ---------------------------------------------------------------------------
+#
+# The package computes these with fewer passes and allocations and must give
+# the same bytes in the same layout. Numpy picks a result's strides from its
+# operands (and may write a product into a temporary operand), and the
+# reductions and GEMMs downstream follow those strides, so equal values alone
+# would not keep training byte-identical.
+
+
+def naive_adam_step(datas, grads, ms, vs, t, lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam step t (1-based) as whole-tensor passes, in place
+    on datas, ms and vs, through one scratch the size of each tensor."""
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for data, g, m, v in zip(datas, grads, ms, vs):
+        s = np.empty_like(data)
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=s)
+        m += s
+        v *= beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - beta2
+        v += s
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(m, s, out=s)
+        s *= lr / c1
+        data -= s
+
+
+def where_leaky_relu(x, slope=0.2):
+    return np.where(x > 0, x, slope * x)
+
+
+def where_leaky_relu_bwd(x, grad_out, slope=0.2):
+    return grad_out * np.where(x > 0, np.asarray(1.0, x.dtype), np.asarray(slope, x.dtype))
+
+
+def expr_batchnorm_bwd(gamma, xhat, inv, grad_out):
+    """(input grad, gamma grad, beta grad) of train-mode batch norm."""
+    dbeta = grad_out.sum(axis=(0, 2, 3))
+    dgamma = (grad_out * xhat).sum(axis=(0, 2, 3))
+    dxhat = grad_out * gamma[None, :, None, None]
+    mean_d = dxhat.mean(axis=(0, 2, 3), keepdims=True)
+    mean_dx = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+    return inv[None, :, None, None] * (dxhat - mean_d - xhat * mean_dx), dgamma, dbeta
+
+
+def _im2col_4x4_s2(x):
+    b, c, _, _ = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (4, 4), axis=(2, 3))[:, :, ::2, ::2]
+    oh, ow = win.shape[2], win.shape[3]
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * 16, b * oh * ow), oh, ow
+
+
+def two_im2col_deconv2d_bwd(x, w, grad_out):
+    """(input grad, weight grad, bias grad) of the transposed convolution,
+    building grad_out's columns once for each of its two GEMMs."""
+    cols, _, _ = _im2col_4x4_s2(grad_out)
+    ci = x.shape[1]
+    xmat = x.transpose(1, 0, 2, 3).reshape(ci, -1)
+    dw = (xmat @ cols.T).reshape(ci, grad_out.shape[1], 4, 4)
+    db = grad_out.sum(axis=(0, 2, 3))
+    cols, oh, ow = _im2col_4x4_s2(grad_out)
+    dx = (w.reshape(w.shape[0], -1) @ cols).reshape(w.shape[0], grad_out.shape[0], oh, ow)
+    return dx.transpose(1, 0, 2, 3), dw, db
+
+
+# ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------
 

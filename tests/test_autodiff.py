@@ -1,14 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import fd_gradient, max_rel_err, naive_conv2d
+from oracles import (
+    expr_batchnorm_bwd,
+    fd_gradient,
+    max_rel_err,
+    naive_adam_step,
+    naive_conv2d,
+    two_im2col_deconv2d_bwd,
+    where_leaky_relu,
+    where_leaky_relu_bwd,
+)
 
 from scrollbin.autodiff import (
+    CHUNK,
     AdamState,
     BatchNormParams,
     ConvParams,
     Param,
     adam_step,
+    all_finite,
     batchnorm_bwd,
     batchnorm_fwd,
     concat_channels,
@@ -289,6 +302,87 @@ class TestActivations:
         assert max_rel_err(gx, fd_gradient(loss, x)) < GRAD_TOL
 
 
+class TestLayoutMatchesEarlierFormulas:
+    """The rewritten training ops against the formulas they replaced.
+
+    Values must match to the byte and layouts must match too: numpy picks
+    each result's strides from its operands, and batch-norm reductions and
+    GEMM transposes downstream follow them. Inputs come in the layouts
+    training produces: C-contiguous, and the channel-major view that _corr
+    returns at batch >= 2. Sizes fall on both sides of numpy's 256 KB
+    threshold for writing a result into a temporary operand.
+    """
+
+    SHAPES = ((512, 1), (16, 8), (64, 32))  # (channels, side)
+
+    @staticmethod
+    def _array(rng, shape, channel_major, dtype):
+        b, c, h, w = shape
+        if channel_major:
+            return rng.normal(0, 1, (c, b, h, w)).astype(dtype).transpose(1, 0, 2, 3)
+        return rng.normal(0, 1, shape).astype(dtype)
+
+    @staticmethod
+    def _same(new, old):
+        """Same dtype, shape and bytes, and the same stride on every axis
+        longer than 1; a length-1 axis's stride is never read."""
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+        assert [s for s, n in zip(new.strides, new.shape) if n > 1] == [
+            s for s, n in zip(old.strides, old.shape) if n > 1
+        ]
+
+    def _cases(self, seed):
+        rng = np.random.default_rng(seed)
+        for dtype in (np.float32, np.float64):
+            for batch in (1, 2, 3):
+                for c, side in self.SHAPES:
+                    for x_cm in (False, True):
+                        for g_cm in (False, True):
+                            shape = (batch, c, side, side)
+                            yield rng, dtype, shape, self._array(rng, shape, x_cm, dtype), self._array(
+                                rng, shape, g_cm, dtype
+                            )
+
+    def test_leaky_relu(self):
+        for _, _, _, x, _ in self._cases(60):
+            x.reshape(-1)[::7] = 0.0
+            x.reshape(-1)[::11] = -0.0
+            self._same(leaky_relu(x, 0.2), where_leaky_relu(x, 0.2))
+            z = x.copy()
+            assert leaky_relu(z, 0.2, out=z) is z
+            assert z.tobytes() == where_leaky_relu(x, 0.2).tobytes()
+
+    def test_leaky_relu_bwd(self):
+        for _, _, _, x, g in self._cases(61):
+            x.reshape(-1)[::7] = 0.0
+            self._same(leaky_relu_bwd(x, g, 0.2), where_leaky_relu_bwd(x, g, 0.2))
+
+    def test_batchnorm_bwd(self):
+        for rng, dtype, shape, x, g in self._cases(62):
+            if shape[0] * shape[2] * shape[3] < 2:
+                continue  # train-mode batch norm needs two values per channel
+            p = BatchNormParams(rng.normal(1, 0.1, shape[1]).astype(dtype), np.zeros(shape[1], dtype))
+            _, (xhat, inv) = batchnorm_fwd(x, p, train=True, update_running=False)
+            dx, dgamma, dbeta = expr_batchnorm_bwd(p.gamma.data, xhat, inv, g)
+            self._same(batchnorm_bwd(p, (xhat, inv), g), dx)
+            self._same(p.gamma.grad, dgamma)
+            self._same(p.beta.grad, dbeta)
+
+    def test_deconv2d_bwd(self):
+        for rng, dtype, shape, _, g in self._cases(63):
+            if shape[2] < 2:
+                continue
+            b, co, h, w = shape
+            for x_cm in (False, True):
+                x = self._array(rng, (b, 8, h // 2, w // 2), x_cm, dtype)
+                p = ConvParams(rng.normal(0, 0.5, (8, co, 4, 4)).astype(dtype), np.zeros(co, dtype))
+                dx, dw, db = two_im2col_deconv2d_bwd(x, p.weight.data, g)
+                self._same(deconv2d_bwd(x, p, g), dx)
+                self._same(p.weight.grad, dw)
+                self._same(p.bias.grad, db)
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         rng = np.random.default_rng(17)
@@ -413,3 +507,64 @@ class TestAdam:
         adam_step([p], state)
         adam_step([p], state)
         assert state.t == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lr=st.floats(1e-5, 1e-1),
+        beta1=st.floats(0.0, 0.99),
+        beta2=st.floats(0.9, 0.9999),
+    )
+    def test_matches_whole_tensor_passes(self, dtype, seed, lr, beta1, beta2):
+        """Bytes of data, m and v after 3 steps equal the whole-tensor update's,
+        for tensors on and around every chunk boundary."""
+        rng = np.random.default_rng(seed)
+        shapes = [(1,), (CHUNK - 1,), (16, 64, 8, 8), (CHUNK + 1,), (3 * CHUNK + 5,)]
+        params = [Param(rng.normal(0, 1, s).astype(dtype)) for s in shapes]
+        datas = [p.data.copy() for p in params]
+        ms = [np.zeros_like(d) for d in datas]
+        vs = [np.zeros_like(d) for d in datas]
+        state = AdamState(params)
+        for t in range(1, 4):
+            grads = [rng.normal(0, 1, s).astype(dtype) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            adam_step(params, state, lr=lr, beta1=beta1, beta2=beta2)
+            naive_adam_step(datas, grads, ms, vs, t, lr=lr, beta1=beta1, beta2=beta2)
+        for p, d, m, v, m2, v2 in zip(params, datas, ms, vs, state.m, state.v):
+            assert p.data.tobytes() == d.tobytes()
+            assert m2.tobytes() == m.tobytes() and v2.tobytes() == v.tobytes()
+
+    def test_non_contiguous_param_rejected_before_any_update(self):
+        # A flat view of an F-ordered array is a copy, and an update written
+        # into it would be lost, so the step must refuse rather than skip it.
+        ok = Param(np.ones((3, 4)))
+        fortran = Param(np.asfortranarray(np.ones((3, 4))))
+        for p in (ok, fortran):
+            p.grad = np.ones((3, 4))
+        state = AdamState([ok, fortran])
+        with pytest.raises(ScrollbinError, match="C-contiguous"):
+            adam_step([ok, fortran], state)
+        assert state.t == 0
+        assert (ok.data == 1).all() and not state.m[0].any() and not state.v[0].any()
+
+    @pytest.mark.parametrize("grad", [None, np.ones(4), np.ones((3, 4, 1))])
+    def test_missing_or_misshapen_grad_rejected(self, grad):
+        p = Param(np.ones((3, 4)))
+        p.grad = grad
+        state = AdamState([p])
+        with pytest.raises(ScrollbinError, match="grad"):
+            adam_step([p], state)
+        assert state.t == 0 and (p.data == 1).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, CHUNK - 1, CHUNK, 3 * CHUNK + 4])
+def test_all_finite_checks_every_chunk(bad, index):
+    arr = np.zeros((3 * CHUNK + 5,), np.float32)
+    assert all_finite(arr) and all_finite(arr[::3])
+    arr[index] = bad
+    assert not all_finite(arr)
+    assert not all_finite(arr.reshape(1, -1))
+    assert not all_finite(arr[index % 2 :: 2])  # a strided view is checked too
