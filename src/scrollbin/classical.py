@@ -5,11 +5,16 @@ darker pixels are ink: a pixel is ink iff its value is <= the threshold.
 Local window statistics are computed over the window clamped to the image
 bounds, so only real pixels contribute. Windows must be odd so they center
 on the pixel; the conventional 70x70 window snaps to 71. Niblack and Sauvola
-read the window mean and std from integral images. Local Otsu slides one
-histogram per column down the rows, so its memory is O(width x 256).
+read the window mean and std from integral images. Local Otsu sweeps tiles
+of columns, each sliding one histogram per column down the rows, so its
+memory is O((TILE + window) x 256) whatever the width. A window larger
+than the image clamps to it: any window from 2*max(h, w) + 1 up gives the
+same mask.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -86,7 +91,15 @@ def _check_window(window: int) -> int:
     return window // 2
 
 
+def _check_finite(name: str, value: float) -> None:
+    """A nan or infinite k or R would silently give an all-ink or blank mask."""
+    if not math.isfinite(value):
+        raise ScrollbinError(f"{name} must be finite, got {value}")
+
+
 def _window_bounds(size: int, half: int):
+    """Clamped [lo, hi) of each window; a half past the image clamps alike."""
+    half = min(half, size)
     idx = np.arange(size)
     lo = np.clip(idx - half, 0, size)
     hi = np.clip(idx + half + 1, 0, size)
@@ -130,6 +143,7 @@ def window_mean_std(img: GrayImage, window: int) -> tuple[np.ndarray, np.ndarray
 
 def niblack(img: GrayImage, window: int = DEFAULT_WINDOW, k: float = NIBLACK_K) -> BinaryMask:
     """Niblack local threshold T = m + k*s; ink iff value <= T."""
+    _check_finite("k", k)
     mean, std = window_mean_std(img, window)
     thresh = mean + k * std
     return BinaryMask(img.pixels.astype(np.float64) <= thresh)
@@ -139,6 +153,8 @@ def sauvola(
     img: GrayImage, window: int = DEFAULT_WINDOW, k: float = SAUVOLA_K, r: float = SAUVOLA_R
 ) -> BinaryMask:
     """Sauvola local threshold T = m * (1 + k*(s/R - 1)); ink iff value <= T."""
+    _check_finite("k", k)
+    _check_finite("R", r)
     if r <= 0:
         raise ScrollbinError(f"R must be positive, got {r}")
     mean, std = window_mean_std(img, window)
@@ -150,6 +166,131 @@ def sauvola(
 # Local Otsu
 # ---------------------------------------------------------------------------
 
+TILE = 384
+"""Columns per local Otsu tile; its tables hold TILE plus one window of columns.
+
+Measured on 2 cores: at 256 the 330-wide bench page takes two tiles and ran
+slower; on a 3608-wide page 256, 384 and 512 ran within 5% of each other at
+window 71, 384 ran fastest at window 301, and 384 peaks under 6 MB.
+"""
+
+
+def _sweep_dtypes(area: int, table_px: int):
+    """Dtypes of the local Otsu counts and of its split scan.
+
+    area bounds every window's pixel count and table_px every entry of a
+    tile's column prefix. int32 counts are exact while table_px < 2**31.
+    The float64 scan is exact while 255 * area**2 < 2**53: the class sums
+    S0 and S are at most 255 * area (so they also fit int32), and S0*n, S*n0
+    and n0*n1 are integers below 2**53 (a window of up to about 2437 x 2437
+    pixels). Past either bound the counts and the scan stay in int64.
+    """
+    if table_px < 2**31 and 255 * area * area < 2**53:
+        return np.int32, np.float64
+    return np.int64, np.int64
+
+
+def _prefix_sums(a, spare, k):
+    """Inclusive prefix sums along axis 1 of a[:, :k], by doubling.
+
+    log2(k) whole-array adds: numpy's cumsum adds one element at a time and
+    measured about 2x slower on these arrays. Overwrites a and spare and returns
+    the view of whichever holds the sums.
+    """
+    step = 1
+    while step < k:
+        spare[:, :step] = a[:, :step]
+        np.add(a[:, step:k], a[:, : k - step], out=spare[:, step:k])
+        a, spare = spare, a
+        step *= 2
+    return a[:, :k]
+
+
+def _split_scores(n0, s0, den):
+    """Otsu score of each split t of each column: (S0*n1 - S1*n0)^2 / (n0*n1).
+
+    n0 and s0 hold the pixel count and the value sum at or below each t,
+    down axis 0. The denominator is max(n0*n1, 1): a split with an empty
+    class has S0*n1 - S1*n0 = 0 and scores exactly 0, and every valid split
+    scores above 0, so the first maximum is the first over valid splits.
+    The scores overwrite a float64 s0; int64 sums keep an exact int64
+    numerator, rounded once, as float64 holds it when it is below 2**53.
+    """
+    n, s = n0[-1].copy(), s0[-1].copy()
+    if s0.dtype == np.float64:
+        np.subtract(n, n0, out=den)
+        den *= n0
+        # S0*n - S*n0 is the same integer as S0*n1 - S1*n0, one pass cheaper.
+        score = s0
+        score *= n
+        n0 *= s
+        score -= n0
+    else:
+        n1 = n - n0
+        score = (s0 * n1 - (s - s0) * n0).astype(np.float64)
+        np.copyto(den, n0 * n1)
+    np.maximum(den, 1.0, out=den)
+    score *= score
+    score /= den
+    return score
+
+
+def _otsu_tile(pixels, a: int, b: int, hx: int, y0, y1, dtypes, ink) -> None:
+    """Local Otsu of image columns [a, b), written into ink[:, a:b]."""
+    count, scan = dtypes
+    w = pixels.shape[1]
+    t = b - a
+    # The tile's table holds image columns [lo, hi): its own and those of
+    # its windows. prefix[:, j] sums table columns [0, j).
+    lo, hi = max(a - hx, 0), min(b + hx, w)
+    band = pixels[:, lo:hi]
+    where = np.arange(hi - lo)
+    # The window of image column a + x is prefix[:, first + x] minus
+    # prefix[:, x - xl]. From x = xu on it ends at the image's right edge,
+    # the table's last column; before x = xl it starts at image column 0.
+    first = a + hx + 1 - lo
+    xu, xl = min(max(w - hx - a, 0), t), min(max(hx - a, 0), t)
+    # Work arrays are allocated once: fresh ones each row cost more in page
+    # faults than the arithmetic does.
+    cols = np.zeros((256, hi - lo), dtype=count)
+    present = np.zeros(256, dtype=np.int64)  # pixels of each value in cols
+    prefix = np.zeros((256, hi - lo + 1), dtype=count)
+    sums, spare = np.empty((2, 2, 256, t), dtype=count)
+    floats = np.empty((3, 256, t))
+    columns = np.arange(t)
+    top = bottom = 0
+    for r in range(len(y0)):
+        for y in range(bottom, y1[r]):
+            cols[band[y], where] += 1
+            present += np.bincount(band[y], minlength=256)
+        for y in range(top, y0[r]):
+            cols[band[y], where] -= 1
+            present -= np.bincount(band[y], minlength=256)
+        top, bottom = y0[r], y1[r]
+        # Only values present in the tile's windows can hold a first
+        # maximum: an absent value t scores the same as t - 1 in every window.
+        values = np.flatnonzero(present)
+        k = len(values)
+        if k < 2:  # one value: no window of the tile has a valid split
+            ink[r, a:b] = False
+            continue
+        np.take(cols, values, axis=0, out=prefix[:k, 1:], mode="clip")
+        np.cumsum(prefix[:k, 1:], axis=1, dtype=count, out=prefix[:k, 1:])
+        hist = sums[0, :k]
+        hist[:, :xu] = prefix[:k, first : first + xu]
+        hist[:, xu:] = prefix[:k, -1:]
+        hist[:, xl:] -= prefix[:k, : t - xl]
+        np.multiply(hist, values.astype(count)[:, None], out=sums[1, :k])
+        n0, s0 = _prefix_sums(sums, spare, k)
+        if scan is np.float64:
+            np.copyto(floats[0, :k], n0)
+            np.copyto(floats[1, :k], s0)
+            n0, s0 = floats[:2, :k]
+        score = _split_scores(n0, s0, floats[2, :k])
+        best = score.argmax(axis=0)
+        valid = score[best, columns] > 0
+        ink[r, a:b] = (pixels[r, a:b] <= values[best]) & valid
+
 
 def otsu_local(img: GrayImage, window: int = DEFAULT_WINDOW) -> BinaryMask:
     """Per-pixel Otsu threshold over the edge-clamped window.
@@ -158,57 +299,30 @@ def otsu_local(img: GrayImage, window: int = DEFAULT_WINDOW) -> BinaryMask:
     histogram. Windows with a constant histogram have no valid split and the
     pixel is classified background, which keeps blank margins blank.
 
-    One histogram per column covers the rows of the current window and slides
-    down the image: each row adds the image rows entering the window and
-    subtracts those leaving it (Perreault & Hebert 2007). A prefix sum over
-    the columns then gives all window histograms of the row, so memory stays
-    O(width x 256). Their Otsu scan scores each split t by
-    (S0*n1 - S1*n0)^2 / (n0*n1) over the pixel counts n and value sums S
-    below (0) and above (1) t. The squared term can exceed int64, so it is
-    evaluated in float64 from exact int64 sums; the first maximum wins ties.
+    The image is swept in tiles of TILE columns, one after another. Each
+    tile keeps one histogram per column for its columns plus half a window
+    on either side, and slides them down the rows: each row adds the image
+    rows entering the window and subtracts those leaving it (Perreault &
+    Hebert 2007). A prefix sum over those columns gives every window
+    histogram of the row, so memory is O((TILE + window) x 256) whatever the
+    width. The Otsu scan scores each split t by (S0*n1 - S1*n0)^2 / (n0*n1)
+    over the pixel counts n and value sums S at or below (0) and above (1) t;
+    the first maximum wins ties. Two identities keep it short:
+    S0*n1 - S1*n0 = S0*n - S*n0, and with the denominator max(n0*n1, 1) an
+    empty class scores 0 while every valid split scores above 0. The scan
+    visits only the values present in the tile's windows, in float64 while
+    every product is an integer below 2**53 (see _sweep_dtypes), and
+    otherwise in exact int64.
     """
     half = _check_window(window)
     pixels = img.pixels
     h, w = pixels.shape
-    y0, y1 = _window_bounds(h, half)
-    x0, x1 = _window_bounds(w, half)
-
-    # Row 0 stays zero so the cumulative sum is the prefix over columns.
-    cols = np.zeros((w + 1, 256), dtype=np.int32)
-    col = np.arange(1, w + 1)
-    # Work arrays are allocated once: fresh ones each row cost more in page
-    # faults than the arithmetic does.
-    prefix = np.empty((w + 1, 256), dtype=np.int64)
-    hists, tmp, n0, n1, s0 = np.empty((5, w, 256), dtype=np.int64)
-    score = np.empty((w, 256))
+    # A half-width past the image gives the same clamped windows.
+    hy, hx = min(half, h - 1), min(half, w - 1)
+    y0, y1 = _window_bounds(h, hy)
+    rows = min(h, 2 * hy + 1)
+    dtypes = _sweep_dtypes(rows * min(w, 2 * hx + 1), rows * min(w, TILE + 2 * hx))
     ink = np.empty((h, w), dtype=np.bool_)
-    top = bottom = 0
-    for r in range(h):
-        for y in range(bottom, y1[r]):
-            cols[col, pixels[y]] += 1
-        for y in range(top, y0[r]):
-            cols[col, pixels[y]] -= 1
-        top, bottom = y0[r], y1[r]
-        np.cumsum(cols, axis=0, out=prefix)
-        np.take(prefix, x1, axis=0, out=hists)
-        hists -= np.take(prefix, x0, axis=0, out=tmp)
-
-        # n0, s0: count and value sum of the pixels <= each split t.
-        np.cumsum(hists, axis=1, out=n0)
-        hists *= np.arange(256)
-        np.cumsum(hists, axis=1, out=s0)
-        n, s = n0[:, -1:].copy(), s0[:, -1:].copy()
-        np.subtract(n, n0, out=n1)
-        # tmp = S0*n1 - S1*n0, with s0 turned into S1*n0 in place.
-        np.multiply(s0, n1, out=tmp)
-        np.subtract(s, s0, out=s0)
-        s0 *= n0
-        tmp -= s0
-        np.copyto(score, tmp)
-        score *= score
-        n1 *= n0  # zero where a class is empty
-        valid = n1 > 0
-        np.divide(score, n1, out=score, where=valid)
-        score[~valid] = -1.0
-        ink[r] = (pixels[r] <= score.argmax(axis=1)) & valid.any(axis=1)
+    for a in range(0, w, TILE):
+        _otsu_tile(pixels, a, min(a + TILE, w), hx, y0, y1, dtypes, ink)
     return BinaryMask(ink)

@@ -18,6 +18,12 @@ from .imagecore import BinaryMask, GrayImage, Image, RgbImage
 
 PAD_MODES = ("replicate", "zero", "white")
 
+MAX_PAD_PIXELS = 1 << 26
+"""Most pixels of padding split may add to an image (64 Mpx, 64 MiB per 8-bit
+channel). A 2706x3608 page at patch 256 adds 1.0 Mpx. The image itself is
+never refused; a patch size that would pad it past this is, before any
+allocation."""
+
 
 @dataclass
 class PatchGrid:
@@ -69,6 +75,12 @@ def split(img: Image, patch_size: int = 256, pad_mode: str = "replicate") -> Pat
     arr = img.ink if isinstance(img, BinaryMask) else img.pixels
     rows = -(-img.height // patch_size)
     cols = -(-img.width // patch_size)
+    padding = rows * cols * patch_size**2 - img.height * img.width
+    if padding > MAX_PAD_PIXELS:
+        raise ScrollbinError(
+            f"patch_size {patch_size} would pad the {img.width}x{img.height} image by "
+            f"{padding} pixels, more than the {MAX_PAD_PIXELS} allowed"
+        )
     padded = _pad_array(arr, rows * patch_size - img.height, cols * patch_size - img.width, pad_mode)
     patches = []
     for r in range(rows):

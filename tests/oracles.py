@@ -229,6 +229,59 @@ def naive_otsu_local_mask(pixels: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def rowwise_otsu_local(pixels: np.ndarray, window: int) -> np.ndarray:
+    """Local Otsu from column histograms that span the whole image width.
+
+    The earlier fast path, kept as the tiled sweep's reference: one int32
+    histogram per image column slides down the rows, an int64 prefix sum over
+    all columns gives each row's window histograms, and every split is scored
+    by (S0*n1 - S1*n0)^2 / (n0*n1) from exact int64 sums, with invalid splits
+    at -1 and the first maximum winning. Memory is O(width x 256).
+    """
+    half = window // 2
+    h, w = pixels.shape
+
+    def bounds(size):
+        idx = np.arange(size)
+        return np.clip(idx - half, 0, size), np.clip(idx + half + 1, 0, size)
+
+    y0, y1 = bounds(h)
+    x0, x1 = bounds(w)
+    cols = np.zeros((w + 1, 256), dtype=np.int32)
+    col = np.arange(1, w + 1)
+    prefix = np.empty((w + 1, 256), dtype=np.int64)
+    hists, tmp, n0, n1, s0 = np.empty((5, w, 256), dtype=np.int64)
+    score = np.empty((w, 256))
+    ink = np.empty((h, w), dtype=np.bool_)
+    top = bottom = 0
+    for r in range(h):
+        for y in range(bottom, y1[r]):
+            cols[col, pixels[y]] += 1
+        for y in range(top, y0[r]):
+            cols[col, pixels[y]] -= 1
+        top, bottom = y0[r], y1[r]
+        np.cumsum(cols, axis=0, out=prefix)
+        np.take(prefix, x1, axis=0, out=hists)
+        hists -= np.take(prefix, x0, axis=0, out=tmp)
+        np.cumsum(hists, axis=1, out=n0)
+        hists *= np.arange(256)
+        np.cumsum(hists, axis=1, out=s0)
+        n, s = n0[:, -1:].copy(), s0[:, -1:].copy()
+        np.subtract(n, n0, out=n1)
+        np.multiply(s0, n1, out=tmp)
+        np.subtract(s, s0, out=s0)
+        s0 *= n0
+        tmp -= s0
+        np.copyto(score, tmp)
+        score *= score
+        n1 *= n0
+        valid = n1 > 0
+        np.divide(score, n1, out=score, where=valid)
+        score[~valid] = -1.0
+        ink[r] = (pixels[r] <= score.argmax(axis=1)) & valid.any(axis=1)
+    return ink
+
+
 def naive_window_stats(pixels: np.ndarray, window: int):
     """Per-pixel mean and population std over the clamped window, by loops."""
     h, w = pixels.shape

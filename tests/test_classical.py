@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import naive_otsu_local_mask, naive_window_stats, otsu_exact
+from conftest import make_text_patch
+from oracles import naive_otsu_local_mask, naive_window_stats, otsu_exact, rowwise_otsu_local
 
+from scrollbin import classical
 from scrollbin.classical import niblack, otsu_global, otsu_local, sauvola, window_mean_std
 from scrollbin.errors import ScrollbinError
 from scrollbin.imagecore import GrayImage
@@ -129,6 +132,26 @@ class TestSauvola:
             sauvola(gray(np.zeros((8, 8))), window=3, r=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "method, param",
+    [(niblack, "k"), (sauvola, "k"), (sauvola, "r")],
+)
+def test_non_finite_parameters_are_rejected(method, param, value):
+    # nan gave an all-background mask and inf an all-ink one
+    with pytest.raises(ScrollbinError, match="must be finite"):
+        method(gray(np.arange(64).reshape(8, 8)), window=3, **{param: value})
+
+
+@pytest.mark.parametrize("method", [otsu_local, niblack, sauvola])
+def test_window_beyond_the_image_clamps(method):
+    rng = np.random.default_rng(17)
+    img = gray(rng.integers(0, 256, (9, 13)))
+    full = method(img, window=2 * 13 + 1)
+    for window in (2 * 13 + 3, 10**6, 10**20):
+        assert np.array_equal(method(img, window=window).ink, full.ink)
+
+
 class TestOtsuLocal:
     def test_uniform_image_is_background(self):
         mask = otsu_local(gray(np.full((12, 12), 128)), window=5)
@@ -167,16 +190,73 @@ class TestOtsuLocal:
         mask = otsu_local(gray(px), window=window)
         assert np.array_equal(mask.ink, naive_otsu_local_mask(px, window))
 
+    # Tiles of 4 and 7 columns make these <= 20-px images cross tile edges.
+    @pytest.mark.parametrize("tile", [4, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20))), st.integers(3, 41))
+    @example(np.arange(0, 240, 7, dtype=np.uint8).reshape(5, 7), 4)
+    @example(np.arange(0, 240, 20, dtype=np.uint8).reshape(3, 4), 40)
+    def test_matches_naive_oracle_across_tile_edges(self, tile, px, window):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classical, "TILE", tile)
+            mask = otsu_local(gray(px), window=window)
+        assert np.array_equal(mask.ink, naive_otsu_local_mask(px, window))
+
     def test_memory_is_per_row(self):
         rng = np.random.default_rng(14)
-        img = gray(rng.integers(0, 256, (250, 330)))
-        tracemalloc.start()
-        try:
-            otsu_local(img, window=71)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 1024 * 1024
+        # The row-wide sweep held 64 MB on the 3608-wide page.
+        for shape, limit_mb in (((250, 330), 32), ((40, 3608), 8)):
+            img = gray(rng.integers(0, 256, shape))
+            tracemalloc.start()
+            try:
+                otsu_local(img, window=71)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit_mb * 1024 * 1024, shape
+
+    @pytest.mark.parametrize("window", [3, 71, classical.TILE + 17])
+    def test_matches_rowwise_reference_across_tiles(self, window):
+        rng = np.random.default_rng(18)
+        width = 2 * classical.TILE + 132  # three tiles
+        pages = [rng.integers(0, 256, (30, width), dtype=np.uint8)]
+        text, _ = make_text_patch(rng, size=width)
+        pages.append(text.pixels[:30])
+        banded = rng.integers(0, 256, (30, width), dtype=np.uint8)
+        banded[:, : classical.TILE + 100] = 77  # a whole tile and its windows constant
+        pages.append(banded)
+        pages += [rng.integers(0, 256, (1, width), dtype=np.uint8), rng.integers(0, 256, (width, 1), dtype=np.uint8)]
+        for px in pages:
+            mask = otsu_local(gray(px), window=window)
+            assert np.array_equal(mask.ink, rowwise_otsu_local(px, window))
+
+    def test_int64_sweep_matches_rowwise_reference(self, monkeypatch):
+        monkeypatch.setattr(classical, "_sweep_dtypes", lambda area, table_px: (np.int64, np.int64))
+        monkeypatch.setattr(classical, "TILE", 7)
+        rng = np.random.default_rng(19)
+        px = rng.integers(0, 256, (12, 30), dtype=np.uint8)
+        px[:, :12] = 200
+        for window in (3, 9, 99):
+            assert np.array_equal(otsu_local(gray(px), window=window).ink, rowwise_otsu_local(px, window))
+
+    def test_sweep_dtypes_at_their_bounds(self):
+        exact = math.isqrt((2**53 - 1) // 255)  # largest area with 255 * area**2 < 2**53
+        assert 255 * exact**2 < 2**53 <= 255 * (exact + 1) ** 2
+        fast, wide = (np.int32, np.float64), (np.int64, np.int64)
+        assert classical._sweep_dtypes(exact, 2**31 - 1) == fast
+        assert classical._sweep_dtypes(exact + 1, 1) == wide
+        assert classical._sweep_dtypes(1, 2**31) == wide
+
+    @pytest.mark.parametrize(
+        "shape, window, area, table_px",
+        [((20, 30), 7, 7 * 7, 7 * 30), ((20, 30), 999, 20 * 30, 20 * 30), ((5, 900), 3, 3 * 3, 3 * (classical.TILE + 2))],
+    )
+    def test_sweep_dtypes_follow_the_window_area(self, monkeypatch, shape, window, area, table_px):
+        seen = []
+        real = classical._sweep_dtypes
+        monkeypatch.setattr(classical, "_sweep_dtypes", lambda *args: seen.append(args) or real(*args))
+        otsu_local(gray(np.zeros(shape)), window=window)
+        assert seen == [(area, table_px)]
 
 
 def test_interior_pixels_unaffected_by_clamping():

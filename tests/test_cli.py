@@ -192,6 +192,40 @@ class TestImageCommands:
             assert main(args) == 0
             assert isinstance(read_pnm(out), BinaryMask)
 
+    @pytest.mark.parametrize("method", ["otsu-local", "niblack", "sauvola"])
+    def test_baseline_window_beyond_int64(self, tmp_path, capsys, method):
+        rng = np.random.default_rng(6)
+        src = write_gray(tmp_path / "img.pgm", rng.integers(0, 256, (9, 13), dtype=np.uint8))
+        out, full = tmp_path / "huge.pbm", tmp_path / "full.pbm"
+        base = ["baseline", "--method", method, "--input", src]
+        assert main(base + ["--out", str(out), "--window", "99999999999999999999"]) == 0
+        assert main(base + ["--out", str(full), "--window", str(2 * 13 + 1)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [("sauvola", "--bigr", "nan"), ("sauvola", "--bigr", "inf"), ("sauvola", "--k", "nan"),
+         ("niblack", "--k", "inf"), ("niblack", "--k", "nan")],
+    )
+    def test_baseline_rejects_non_finite_parameters(self, tmp_path, capsys, method, flag, value):
+        src = write_gray(tmp_path / "img.pgm", np.arange(64).reshape(8, 8))
+        out = tmp_path / "mask.pbm"
+        argv = ["baseline", "--method", method, "--input", src, "--out", str(out), flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_tile_rejects_patch_beyond_the_image(self, tmp_path, capsys):
+        src = write_gray(tmp_path / "img.pgm", np.zeros((48, 64)))
+        outdir = tmp_path / "patches"
+        argv = ["tile", "--input", src, "--patch", "99999999999999999999", "--outdir", str(outdir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "would pad" in err
+        assert not outdir.exists()
+
     def test_baseline_accepts_color_input(self, tmp_path):
         rng = np.random.default_rng(7)
         img = RgbImage(rng.integers(0, 256, (12, 12, 3), dtype=np.uint8))

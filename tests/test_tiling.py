@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from scrollbin import tiling
 from scrollbin.errors import ScrollbinError
 from scrollbin.imagecore import BinaryMask, GrayImage, RgbImage
 from scrollbin.tiling import PatchGrid, reassemble, split
@@ -96,6 +99,29 @@ def test_reassemble_validates_grid():
 def test_patch_size_must_be_positive():
     with pytest.raises(ScrollbinError):
         split(GrayImage(np.zeros((4, 4), dtype=np.uint8)), 0)
+
+
+@pytest.mark.parametrize("patch", [100_000, 99999999999999999999])
+def test_oversized_patch_is_rejected_before_allocating(patch):
+    # 100000 on this page would have asked np.pad for about 10 GB
+    img = GrayImage(np.zeros((48, 64), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScrollbinError, match="would pad"):
+            split(img, patch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_padding_cap_is_inclusive(monkeypatch):
+    # 3x2 at patch 4 pads 16 - 6 = 10 pixels
+    monkeypatch.setattr(tiling, "MAX_PAD_PIXELS", 10)
+    img = GrayImage(np.zeros((2, 3), dtype=np.uint8))
+    assert len(split(img, 4).patches) == 1
+    with pytest.raises(ScrollbinError, match="would pad"):
+        split(img, 5)
 
 
 def test_grid_accessor():
