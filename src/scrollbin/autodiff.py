@@ -15,6 +15,11 @@ _corr_input_grad, the exact adjoint and so the transposed convolution, does
 one GEMM for all taps and then sums the four taps of each output phase. Ops
 preserve the input dtype, so gradient checks can run the whole stack in
 float64 while training runs in float32.
+
+batchnorm_fwd and dropout are the training forms only: inference uses
+batchnorm_eval_affine and skips dropout. The pix2pix settings are constants
+written once: the LeakyReLU slope LEAK, DROPOUT_RATE, batch norm's momentum
+and eps on BatchNormParams, and Adam's betas as adam_step's defaults.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ PAD = 1
 # A block of each of Adam's five operands then stays in a 2 MB L2; 16K and
 # 256K measured slower.
 CHUNK = 1 << 16
+LEAK = 0.2  # LeakyReLU slope for negative inputs
+DROPOUT_RATE = 0.5
 
 
 class Param:
@@ -79,15 +86,16 @@ class ConvParams:
 class BatchNormParams:
     """Per-channel scale/shift plus running statistics for inference."""
 
-    def __init__(self, gamma: np.ndarray, beta: np.ndarray, momentum: float = 0.1, eps: float = 1e-5):
+    momentum = 0.1  # weight of each batch's statistics in the running ones
+    eps = 1e-5
+
+    def __init__(self, gamma: np.ndarray, beta: np.ndarray):
         if gamma.shape != beta.shape or gamma.ndim != 1:
             raise ScrollbinError("batchnorm gamma/beta must be matching rank-1 arrays")
         self.gamma = Param(gamma)
         self.beta = Param(beta)
         self.running_mean = np.zeros_like(gamma)
         self.running_var = np.ones_like(gamma)
-        self.momentum = momentum
-        self.eps = eps
 
     @property
     def channels(self) -> int:
@@ -223,20 +231,15 @@ def deconv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def batchnorm_fwd(
-    x: np.ndarray, p: BatchNormParams, train: bool, update_running: bool = True
-) -> tuple[np.ndarray, tuple | None]:
-    """Normalize per channel; returns (out, cache) where cache feeds batchnorm_bwd.
+def batchnorm_fwd(x: np.ndarray, p: BatchNormParams) -> tuple[np.ndarray, tuple]:
+    """Training batch norm; returns (out, cache) where cache feeds batchnorm_bwd.
 
-    Train mode normalizes by the batch statistics (population variance) and
-    updates the running estimates; eval mode uses the running statistics and
-    returns no cache.
+    Normalizes by the batch statistics (population variance), then moves the
+    running estimates toward them. The running statistics are only written,
+    never read, so out and cache do not depend on them.
     """
     if x.shape[1] != p.channels:
         raise ScrollbinError(f"batchnorm expects {p.channels} channels, got {x.shape[1]}")
-    if not train:
-        scale, shift = batchnorm_eval_affine(p)
-        return x * scale[None, :, None, None] + shift[None, :, None, None], None
     gamma = p.gamma.data[None, :, None, None]
     beta = p.beta.data[None, :, None, None]
 
@@ -247,10 +250,9 @@ def batchnorm_fwd(
     var = x.var(axis=(0, 2, 3))
     inv = 1.0 / np.sqrt(var + p.eps)
     xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    if update_running:
-        m = p.momentum
-        p.running_mean += m * (mean.astype(p.running_mean.dtype) - p.running_mean)
-        p.running_var += m * (var.astype(p.running_var.dtype) - p.running_var)
+    m = p.momentum
+    p.running_mean += m * (mean.astype(p.running_mean.dtype) - p.running_mean)
+    p.running_var += m * (var.astype(p.running_var.dtype) - p.running_var)
     return gamma * xhat + beta, (xhat, inv)
 
 
@@ -289,23 +291,23 @@ def batchnorm_bwd(p: BatchNormParams, cache: tuple, grad_out: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.2, out: np.ndarray | None = None) -> np.ndarray:
-    """max(x, slope*x), which is LeakyReLU for a slope below 1; out may be x."""
-    leak = x * slope
+def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, LEAK*x), which is LeakyReLU since LEAK is below 1; out may be x."""
+    leak = x * LEAK
     return np.maximum(x, leak, out=leak if out is None else out)
 
 
-def leaky_relu_bwd(x: np.ndarray, grad_out: np.ndarray, slope: float = 0.2) -> np.ndarray:
-    """grad_out times 1 where x > 0, and times slope elsewhere (at exactly 0 too)."""
+def leaky_relu_bwd(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """grad_out times 1 where x > 0, and times LEAK elsewhere (at exactly 0 too)."""
     # The slopes come back as a temporary, so numpy may write the product into
     # them and the result then has x's layout, which the reductions and GEMMs
     # downstream follow. Naming the slopes first would change that layout.
-    return grad_out * _leaky_slopes(x, slope)
+    return grad_out * _leaky_slopes(x)
 
 
-def _leaky_slopes(x: np.ndarray, slope: float) -> np.ndarray:
+def _leaky_slopes(x: np.ndarray) -> np.ndarray:
     out = (x > 0).astype(x.dtype)
-    return np.maximum(out, slope, out=out)  # 1 or slope, for a slope below 1
+    return np.maximum(out, LEAK, out=out)  # 1 or LEAK
 
 
 def tanh_act(x: np.ndarray) -> np.ndarray:
@@ -316,27 +318,20 @@ def tanh_bwd(out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (1.0 - out * out)
 
 
-def dropout(
-    x: np.ndarray, rate: float, train: bool, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: survivors scaled by 1/(1-rate) so eval is the identity.
+def dropout(x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Training dropout at DROPOUT_RATE; returns (out, keep_mask).
 
-    Returns (out, keep_mask); the mask is None when dropout is a no-op and is
-    reused verbatim in the backward pass.
+    Inverted dropout: survivors are scaled by 1/(1-DROPOUT_RATE), so
+    inference, which skips dropout, needs no rescaling. dropout_bwd reuses
+    the mask verbatim.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ScrollbinError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
-        return x, None
-    keep = rng.random(x.shape) >= rate
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
+    keep = rng.random(x.shape) >= DROPOUT_RATE
+    scale = np.asarray(1.0 / (1.0 - DROPOUT_RATE), dtype=x.dtype)
     return x * keep * scale, keep
 
 
-def dropout_bwd(grad_out: np.ndarray, keep: np.ndarray | None, rate: float) -> np.ndarray:
-    if keep is None:
-        return grad_out
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=grad_out.dtype)
+def dropout_bwd(grad_out: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    scale = np.asarray(1.0 / (1.0 - DROPOUT_RATE), dtype=grad_out.dtype)
     return grad_out * keep * scale
 
 

@@ -54,8 +54,6 @@ from .tiling import reassemble
 ENCODER_CHANNELS = (64, 128, 256, 512, 512, 512, 512, 512)
 DECODER_CHANNELS = (512, 512, 512, 512, 256, 128, 64, 1)
 DROPOUT_STAGES = (0, 1, 2)
-DROPOUT_RATE = 0.5
-LEAK = 0.2
 INIT_STD = 0.02
 
 WEIGHTS_MAGIC = b"BNET"
@@ -81,8 +79,8 @@ class StageTrace:
     """What one stage's forward keeps for its backward.
 
     z is the pre-activation (after batch norm and dropout) and out the
-    activation of z. bn_cache is None when the stage has no batch norm or ran
-    in eval mode; keep is None when no dropout was applied.
+    activation of z. bn_cache is None when the stage has no batch norm; keep
+    is None when the stage has no dropout.
     """
 
     x: np.ndarray
@@ -96,16 +94,13 @@ class StageTrace:
 class NetParams:
     """All layer parameters plus batch-norm running statistics.
 
-    step counts lifetime training steps and survives serialization; seed is
-    build metadata only and is not serialized.
+    step counts lifetime training steps and survives serialization.
     """
 
     in_channels: int
     encoder: list[EncoderStage]
     decoder: list[DecoderStage]
     step: int = 0
-    seed: int | None = None
-    version: int = WEIGHTS_VERSION
 
     @property
     def patch(self) -> int:
@@ -142,8 +137,6 @@ class TrainConfig:
     lr: float = 2e-4
     seed: int = 42
     batch_size: int = 1
-    beta1: float = 0.5
-    beta2: float = 0.999
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -219,7 +212,7 @@ def build_model(
         # the next stage consumes this output concatenated with the mirror encoder feature
         prev = ch + encoder_channels[n - 2 - j] if not is_last else ch
 
-    return NetParams(in_channels, encoder, decoder, step=0, seed=seed)
+    return NetParams(in_channels, encoder, decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +230,16 @@ def _check_input(params: NetParams, x: np.ndarray):
         raise ScrollbinError(f"input spatial dims must be {size}x{size}, got {x.shape[2]}x{x.shape[3]}")
 
 
-def _forward_cached(params: NetParams, x: np.ndarray, train: bool, rng: np.random.Generator | None):
-    """Forward pass returning (output, (encoder traces, decoder traces))."""
+def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator | None):
+    """Training forward returning (output, (encoder traces, decoder traces)).
+
+    Batch norm normalizes by the batch statistics and updates the running
+    ones; stages with dropout draw their masks from rng, which may be None
+    only for a model without dropout.
+    """
     _check_input(params, x)
     n = len(params.encoder)
-    if train and rng is None and any(st.drop for st in params.decoder):
+    if rng is None and any(st.drop for st in params.decoder):
         raise ScrollbinError("training forward needs an RNG for dropout masks")
 
     enc: list[StageTrace] = []
@@ -250,8 +248,8 @@ def _forward_cached(params: NetParams, x: np.ndarray, train: bool, rng: np.rando
         z = conv2d_fwd(h, st.conv)
         bn_cache = None
         if st.bn is not None:
-            z, bn_cache = batchnorm_fwd(z, st.bn, train)
-        enc.append(StageTrace(h, z, leaky_relu(z, LEAK), bn_cache))
+            z, bn_cache = batchnorm_fwd(z, st.bn)
+        enc.append(StageTrace(h, z, leaky_relu(z), bn_cache))
         h = enc[-1].out
 
     dec: list[StageTrace] = []
@@ -259,14 +257,14 @@ def _forward_cached(params: NetParams, x: np.ndarray, train: bool, rng: np.rando
         z = deconv2d_fwd(h, st.conv)
         bn_cache = None
         if st.bn is not None:
-            z, bn_cache = batchnorm_fwd(z, st.bn, train)
+            z, bn_cache = batchnorm_fwd(z, st.bn)
         if j == n - 1:
             dec.append(StageTrace(h, z, tanh_act(z), bn_cache))
         else:
             keep = None
-            if st.drop and train:
-                z, keep = dropout(z, DROPOUT_RATE, True, rng)
-            dec.append(StageTrace(h, z, leaky_relu(z, LEAK), bn_cache, keep))
+            if st.drop:
+                z, keep = dropout(z, rng)
+            dec.append(StageTrace(h, z, leaky_relu(z), bn_cache, keep))
             h = concat_channels(dec[-1].out, enc[n - 2 - j].out)
     return dec[-1].out, (enc, dec)
 
@@ -279,11 +277,17 @@ def _affine_act(z: np.ndarray, bn: BatchNormParams | None, last: bool) -> np.nda
         z += shift[:, None, None]
     if last:
         return np.tanh(z, out=z)
-    return leaky_relu(z, LEAK, out=z)
+    return leaky_relu(z, out=z)
 
 
-def _forward_eval(params: NetParams, x: np.ndarray) -> np.ndarray:
-    """Eval forward that keeps only the skip features the decoder still needs."""
+def forward(params: NetParams, x: np.ndarray) -> np.ndarray:
+    """Inference forward; output shape (batch, 1, patch, patch), values in (-1, 1).
+
+    It keeps no stage records, only the skip features the decoder still
+    needs. Batch norm is its per-channel affine from the running statistics
+    and, like the activations, runs in place on each stage's output; dropout
+    is skipped.
+    """
     _check_input(params, x)
     n = len(params.encoder)
     skips = []
@@ -297,30 +301,6 @@ def _forward_eval(params: NetParams, x: np.ndarray) -> np.ndarray:
         if skips:
             h = concat_channels(h, skips.pop())
     return h
-
-
-def forward(params: NetParams, x: np.ndarray, train: bool = False, rng=None) -> np.ndarray:
-    """Run the network; output shape (batch, 1, patch, patch), values in (-1, 1).
-
-    Train mode runs the cached forward that backward needs. Eval mode keeps
-    no stage records: batch norm is its per-channel affine from the running
-    statistics, and it and the activations run in place on each stage's
-    output.
-    """
-    if train:
-        out, _ = _forward_cached(params, x, True, rng)
-        return out
-    return _forward_eval(params, x)
-
-
-def activation_shapes(params: NetParams, x: np.ndarray):
-    """Shapes of every stage output on an eval forward.
-
-    Returns (encoder_shapes, decoder_shapes); decoder shapes are the
-    transposed-convolution outputs before skip concatenation.
-    """
-    _, (enc, dec) = _forward_cached(params, x, train=False, rng=None)
-    return [t.out.shape for t in enc], [t.out.shape for t in dec]
 
 
 def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
@@ -341,8 +321,9 @@ def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
             gz = tanh_bwd(t.out, g)
         else:
             g_act, skip_grads[n - 2 - j] = split_channels(g, st.conv.weight.shape[1])
-            gz = leaky_relu_bwd(t.z, g_act, LEAK)
-            gz = dropout_bwd(gz, t.keep, DROPOUT_RATE)
+            gz = leaky_relu_bwd(t.z, g_act)
+            if t.keep is not None:
+                gz = dropout_bwd(gz, t.keep)
         if st.bn is not None:
             gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
         g = deconv2d_bwd(t.x, st.conv, gz)
@@ -351,7 +332,7 @@ def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
         st, t = params.encoder[i], enc[i]
         if i in skip_grads:
             g = g + skip_grads[i]
-        gz = leaky_relu_bwd(t.z, g, LEAK)
+        gz = leaky_relu_bwd(t.z, g)
         if st.bn is not None:
             gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
         g = conv2d_bwd(t.x, st.conv, gz)
@@ -441,12 +422,12 @@ def train(
             # A diverging step overflows; the finiteness checks report it
             # once, in place of a numpy warning per operation.
             with np.errstate(over="ignore", invalid="ignore"):
-                out, cache = _forward_cached(model, x, train=True, rng=rng)
+                out, cache = _forward_cached(model, x, rng)
                 loss, grad = l1_loss(out, t)
                 if not math.isfinite(loss):
                     raise ScrollbinError(f"training diverged: loss is {loss} at step {model.step + 1}")
                 backward(model, cache, grad)
-                adam_step(params, state, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
+                adam_step(params, state, lr=cfg.lr)
             model.step += 1
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
@@ -628,7 +609,7 @@ def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> Net
         if j < n_dec:
             given = st.conv.weight.shape[1] + encoder[n_enc - 1 - j].conv.out_ch
 
-    return NetParams(in_channels, encoder, decoder, step=step, seed=None)
+    return NetParams(in_channels, encoder, decoder, step=step)
 
 
 def params_equal(a: NetParams, b: NetParams) -> bool:

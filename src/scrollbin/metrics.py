@@ -251,13 +251,18 @@ def evaluate(pred: BinaryMask, gt: BinaryMask) -> ImageScores:
 def aggregate(records: list) -> EvalReport:
     """Mean and sample standard deviation (n-1; a single record gets std 0)
     per metric, in the fixed order f, pf, psnr, drd. Infinite PSNR values are
-    left out of the aggregates and reported via psnr_inf_count."""
+    left out of the aggregates and reported via psnr_inf_count. Any other
+    metric with an infinite value (a DRD over a ground truth with no
+    non-uniform block) gets mean inf and std None, since its spread has no
+    finite value."""
     if not records:
         raise ScrollbinError("cannot aggregate an empty record list")
 
     def stats(values: list) -> tuple[float | None, float | None]:
         if not values:
             return None, None
+        if any(math.isinf(v) for v in values):
+            return math.inf, None
         mean = float(np.mean(values))
         std = 0.0 if len(values) == 1 else float(np.std(values, ddof=1))
         return mean, std

@@ -97,6 +97,10 @@ def reassemble(grid: PatchGrid) -> Image:
     coordinate. The output type follows the patch type, so a grid whose
     patches were replaced by BinaryMask outputs reassembles into a mask.
     """
+    if grid.orig_width < 1 or grid.orig_height < 1:
+        raise ScrollbinError(f"image size must be at least 1x1, got {grid.orig_width}x{grid.orig_height}")
+    if not grid.patches:
+        raise ScrollbinError("grid holds no patches")
     if len(grid.patches) != grid.rows * grid.cols:
         raise ScrollbinError(
             f"grid holds {len(grid.patches)} patches, expected rows*cols = {grid.rows * grid.cols}"

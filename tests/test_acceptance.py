@@ -21,7 +21,7 @@ from oracles import (
     naive_psnr,
     otsu_exact,
 )
-from test_binet import e2e_check_fixture
+from test_binet import e2e_check_fixture, eval_stage_shapes
 
 from scrollbin import binet, metrics
 from scrollbin.autodiff import (
@@ -97,11 +97,11 @@ def test_criterion_01_tiling_arithmetic():
 
 
 @criterion(2, "architecture: resolution ladder 128..1..256, output in (-1,1)")
-def test_criterion_02_shape_ladder():
+def test_criterion_02_shape_ladder(monkeypatch):
     rng = np.random.default_rng(2)
     model = binet.build_model(1, seed=7)
     x = rng.normal(0, 0.5, (1, 1, 256, 256)).astype(np.float32)
-    enc_shapes, dec_shapes = binet.activation_shapes(model, x)
+    enc_shapes, dec_shapes = eval_stage_shapes(model, x, monkeypatch)
     assert [s[2] for s in enc_shapes] == [128, 64, 32, 16, 8, 4, 2, 1]
     assert [s[3] for s in enc_shapes] == [128, 64, 32, 16, 8, 4, 2, 1]
     assert [s[2] for s in dec_shapes] == [2, 4, 8, 16, 32, 64, 128, 256]
@@ -151,11 +151,9 @@ def test_criterion_03_gradient_correctness():
     x = rng.normal(0, 1, (2, 3, 3, 3))
     bn = BatchNormParams(rng.normal(1, 0.2, 3), rng.normal(0, 0.2, 3))
     t = rng.normal(0, 1, x.shape)
-    out, cache = batchnorm_fwd(x, bn, train=True, update_running=False)
+    out, cache = batchnorm_fwd(x, bn)
     gx = batchnorm_bwd(bn, cache, _sq_grad(out, t))
-    loss = lambda: float(
-        ((batchnorm_fwd(x, bn, train=True, update_running=False)[0] - t) ** 2).sum()
-    )
+    loss = lambda: float(((batchnorm_fwd(x, bn)[0] - t) ** 2).sum())
     assert max_rel_err(gx, fd_gradient(loss, x)) < OP_TOL
     assert max_rel_err(bn.gamma.grad, fd_gradient(loss, bn.gamma.data)) < OP_TOL
     assert max_rel_err(bn.beta.grad, fd_gradient(loss, bn.beta.data)) < OP_TOL
@@ -178,9 +176,9 @@ def test_criterion_03_gradient_correctness():
     # dropout with a frozen mask
     x = rng.normal(0, 1, (1, 2, 6, 6))
     t = rng.normal(0, 1, x.shape)
-    frozen = lambda: dropout(x, 0.5, True, np.random.default_rng(99))
+    frozen = lambda: dropout(x, np.random.default_rng(99))
     out, mask = frozen()
-    gx = dropout_bwd(_sq_grad(out, t), mask, 0.5)
+    gx = dropout_bwd(_sq_grad(out, t), mask)
     loss = lambda: float(((frozen()[0] - t) ** 2).sum())
     assert max_rel_err(gx, fd_gradient(loss, x)) < OP_TOL
 
@@ -202,10 +200,10 @@ def test_criterion_03_gradient_correctness():
 
     # shrunken end-to-end network: every parameter
     m, x, target = e2e_check_fixture()
-    out, cache = binet._forward_cached(m, x, train=True, rng=None)
+    out, cache = binet._forward_cached(m, x, None)
     _, grad = l1_loss(out, target)
     binet.backward(m, cache, grad)
-    loss = lambda: l1_loss(binet.forward(m, x, train=True), target)[0]
+    loss = lambda: l1_loss(binet._forward_cached(m, x, None)[0], target)[0]
     worst = 0.0
     for p in m.params():
         worst = max(worst, max_rel_err(p.grad, fd_gradient(loss, p.data, eps=1e-5), floor=1e-7))
@@ -219,7 +217,7 @@ def test_criterion_03_gradient_correctness():
 
 @criterion(4, "overfit: full model, 300 steps on 4 text patches, F >= 0.90")
 def test_criterion_04_overfit_smoke(text_dataset):
-    cfg = binet.TrainConfig(epochs=75, lr=2e-4, seed=11, batch_size=1, beta1=0.5)
+    cfg = binet.TrainConfig(epochs=75, lr=2e-4, seed=11, batch_size=1)
     model, history = binet.train(text_dataset, cfg)
     assert model.step == 300
     f_values = []

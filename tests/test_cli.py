@@ -147,6 +147,36 @@ class TestEvaluateSet:
         assert "psnr_inf_count 1" in out
         assert "psnr n/a" in out  # the only PSNR was infinite
 
+    def test_infinite_drd_reports_null_std(self, tmp_path, capsys):
+        # A ground truth with no ink has no non-uniform block, so one wrong
+        # pixel gives DRD inf; the report must stay strict JSON.
+        blank = np.zeros((16, 16), dtype=bool)
+        speck = blank.copy()
+        speck[5, 7] = True
+        rng = np.random.default_rng(11)
+        gt_arr = rng.random((16, 16)) < 0.4
+        lines = [
+            f"{write_mask(tmp_path / 'p0.pbm', speck)}\t{write_mask(tmp_path / 'g0.pbm', blank)}",
+            f"{write_mask(tmp_path / 'p1.pbm', gt_arr ^ (rng.random((16, 16)) < 0.1))}"
+            f"\t{write_mask(tmp_path / 'g1.pbm', gt_arr)}",
+        ]
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert main(["evaluate-set", "--pairs", str(manifest), "--json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out, parse_constant=reject)
+        assert payload["images"][0]["drd"] == "inf"
+        assert payload["mean"]["drd"] == "inf"
+        assert payload["std"]["drd"] is None
+        assert isinstance(payload["std"]["f"], float)
+        assert captured.err == ""
+        assert main(["evaluate-set", "--pairs", str(manifest)]) == 0
+        assert "drd inf +- n/a" in capsys.readouterr().out.splitlines()
+
 
 class TestImageCommands:
     def test_fuse_channels(self, tmp_path):
@@ -179,6 +209,20 @@ class TestImageCommands:
         )
         assert code == 0
         assert np.array_equal(read_pnm(out).pixels, arr)
+
+    @pytest.mark.parametrize("flag,value", [("--width", "0"), ("--width", "-5"), ("--height", "0")])
+    def test_untile_size_below_one(self, tmp_path, capsys, flag, value):
+        src = write_gray(tmp_path / "img.pgm", np.zeros((37, 53), dtype=np.uint8))
+        patches = tmp_path / "patches"
+        assert main(["tile", "--input", src, "--patch", "16", "--outdir", str(patches)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "u.pgm"
+        size = {"--width": "53", "--height": "40", flag: value}
+        argv = ["untile", "--indir", str(patches), "--out", str(out)]
+        assert main(argv + [arg for item in size.items() for arg in item]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not out.exists()
 
     def test_baseline_methods(self, tmp_path):
         rng = np.random.default_rng(6)

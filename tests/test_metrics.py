@@ -268,6 +268,18 @@ class TestAggregate:
         assert report.psnr_inf_count == 1
         assert report.mean["f"] == pytest.approx(0.75)
 
+    def test_infinite_drd_has_mean_inf_and_no_std(self):
+        from scrollbin.metrics import ImageScores
+
+        a = ImageScores(f=0.0, pf=0.0, psnr=12.0, drd=math.inf)
+        b = ImageScores(f=0.5, pf=0.5, psnr=14.0, drd=3.0)
+        report = aggregate([a, b])
+        assert report.mean["drd"] == math.inf and report.std["drd"] is None
+        assert report.mean["f"] == pytest.approx(0.25)
+        single = aggregate([a])
+        assert single.mean["drd"] == math.inf and single.std["drd"] is None
+        assert single.std["f"] == 0.0
+
     def test_empty_rejected(self):
         with pytest.raises(ScrollbinError):
             aggregate([])

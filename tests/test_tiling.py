@@ -96,6 +96,16 @@ def test_reassemble_validates_grid():
         reassemble(grid.with_patches(bad))
 
 
+@pytest.mark.parametrize("width,height", [(0, 40), (-5, 40), (53, 0)])
+def test_reassemble_rejects_empty_image(width, height):
+    grid = split(GrayImage(np.zeros((37, 53), dtype=np.uint8)), 16)
+    sized = PatchGrid(16, grid.rows, grid.cols, width, height, grid.patches)
+    with pytest.raises(ScrollbinError, match="at least 1x1"):
+        reassemble(sized)
+    with pytest.raises(ScrollbinError, match="no patches"):
+        reassemble(PatchGrid(16, 0, 0, 53, 37, []))
+
+
 def test_patch_size_must_be_positive():
     with pytest.raises(ScrollbinError):
         split(GrayImage(np.zeros((4, 4), dtype=np.uint8)), 0)
