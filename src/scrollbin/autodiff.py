@@ -134,7 +134,15 @@ def _corr_weight_grad(cols: np.ndarray, g: np.ndarray, ci: int) -> np.ndarray:
     """Weight gradient (co, ci, 4, 4) of _corr from its input's columns and g."""
     co = g.shape[1]
     gmat = g.transpose(1, 0, 2, 3).reshape(co, -1)
-    return (gmat @ cols.T).reshape(co, ci, KERNEL, KERNEL)
+    if gmat.shape[1] == 1:
+        # A GEMM with inner dimension 1 is an outer product, which is several
+        # times faster without BLAS. The GEMM adds each product to +0, which
+        # turns -0 into +0; adding +0 here gives the same bytes.
+        out = np.multiply.outer(gmat[:, 0], cols[:, 0])
+        out += 0
+    else:
+        out = gmat @ cols.T
+    return out.reshape(co, ci, KERNEL, KERNEL)
 
 
 # Output row Y = STRIDE*y + kh - PAD receives input row y through tap kh, so
@@ -367,13 +375,23 @@ def all_finite(arr: np.ndarray) -> bool:
 
 
 class AdamState:
-    """First/second moment buffers plus the step counter, one pair per param."""
+    """First/second moment buffers and a step count for each param.
+
+    m, v and steps follow the order of the params given here. adam_step may
+    update any subset of them, so each param counts its own steps; t is the
+    highest count, which is every param's once each has had the same steps.
+    """
 
     def __init__(self, params: list[Param]):
+        self.index = {p: i for i, p in enumerate(params)}  # a Param hashes by identity
         self.m = [np.zeros_like(p.data, order="C") for p in params]
         self.v = [np.zeros_like(p.data, order="C") for p in params]
-        self.t = 0
+        self.steps = [0] * len(params)
         self._scratch: dict[np.dtype, np.ndarray] = {}
+
+    @property
+    def t(self) -> int:
+        return max(self.steps, default=0)
 
     def scratch_for(self, dtype: np.dtype) -> np.ndarray:
         """One CHUNK-element buffer per dtype."""
@@ -390,30 +408,38 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, consuming the grads stored on params.
+    """One bias-corrected Adam update of params, consuming their grads.
 
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
     theta <- theta - lr * mhat / (sqrt(vhat) + eps)
-    with mhat = m/(1-b1^t), vhat = v/(1-b2^t). The update is memory-bound,
-    so it runs the whole op sequence over one CHUNK of every tensor before
-    moving on, through one CHUNK-sized scratch, and each chunk stays in
-    cache. Every op is elementwise, so chunking changes no output bit.
+    with mhat = m/(1-b1^t), vhat = v/(1-b2^t), where t is the param's own
+    step count. params may be any subset of the state's, so a caller can
+    update each part of a model as soon as its grads are ready. The update
+    is memory-bound, so it runs the whole op sequence over one CHUNK of every
+    tensor before moving on, through one CHUNK-sized scratch, and each chunk
+    stays in cache. Every op is elementwise, so chunking changes no output
+    bit.
 
     Params, moments and grads are updated through flat views, so every
     param's data must be C-contiguous and every grad must have its param's
     shape; otherwise ScrollbinError is raised before anything is updated.
     """
+    slots = []
     for i, p in enumerate(params):
         if not p.data.flags.c_contiguous:
             raise ScrollbinError(f"adam_step needs C-contiguous params; param {i} is not")
         if p.grad is None or p.grad.shape != p.data.shape:
             got = None if p.grad is None else p.grad.shape
             raise ScrollbinError(f"param {i} has shape {p.data.shape} but its grad has {got}")
-    state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
-    for p, m_full, v_full in zip(params, state.m, state.v):
-        flat = [a.reshape(-1) for a in (p.data, p.grad, m_full, v_full)]
+        k = state.index.get(p)
+        if k is None:
+            raise ScrollbinError(f"param {i} has no Adam state")
+        slots.append(k)
+    for p, k in zip(params, slots):
+        state.steps[k] += 1
+        c1 = 1.0 - beta1 ** state.steps[k]
+        c2 = 1.0 - beta2 ** state.steps[k]
+        flat = [a.reshape(-1) for a in (p.data, p.grad, state.m[k], state.v[k])]
         scratch = state.scratch_for(p.data.dtype)
         for lo in range(0, p.data.size, CHUNK):
             data, g, m, v = (a[lo : lo + CHUNK] for a in flat)

@@ -74,6 +74,10 @@ class DecoderStage:
     drop: bool
 
 
+def _stage_params(st: EncoderStage | DecoderStage) -> list[Param]:
+    return st.conv.params() + (st.bn.params() if st.bn is not None else [])
+
+
 @dataclass
 class StageTrace:
     """What one stage's forward keeps for its backward.
@@ -107,12 +111,7 @@ class NetParams:
         return 1 << len(self.encoder)
 
     def params(self) -> list[Param]:
-        out: list[Param] = []
-        for st in self.encoder + self.decoder:
-            out.extend(st.conv.params())
-            if st.bn is not None:
-                out.extend(st.bn.params())
-        return out
+        return [p for st in self.encoder + self.decoder for p in _stage_params(st)]
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params())
@@ -303,8 +302,13 @@ def forward(params: NetParams, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
-    """Set every parameter's gradient for one cached training forward.
+def backward_stages(params: NetParams, cache, grad_out: np.ndarray):
+    """Backward of one cached training forward, one stage at a time.
+
+    Yields each stage's params, from the last decoder stage to the first
+    encoder stage, once that stage's backward has set their grads and read
+    their weights. No later stage's backward reads them, so the caller may
+    update the weights and drop the grads before resuming.
 
     Each parameter is used once per forward, so each gradient is written
     once, replacing whatever the previous backward left; nothing needs
@@ -327,15 +331,23 @@ def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
         if st.bn is not None:
             gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
         g = deconv2d_bwd(t.x, st.conv, gz)
+        yield _stage_params(st)
 
     for i in range(n - 1, -1, -1):
         st, t = params.encoder[i], enc[i]
         if i in skip_grads:
-            g = g + skip_grads[i]
+            g = g + skip_grads.pop(i)
         gz = leaky_relu_bwd(t.z, g)
         if st.bn is not None:
             gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
         g = conv2d_bwd(t.x, st.conv, gz)
+        yield _stage_params(st)
+
+
+def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
+    """Set every parameter's gradient for one cached training forward."""
+    for _ in backward_stages(params, cache, grad_out):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +438,12 @@ def train(
                 loss, grad = l1_loss(out, t)
                 if not math.isfinite(loss):
                     raise ScrollbinError(f"training diverged: loss is {loss} at step {model.step + 1}")
-                backward(model, cache, grad)
-                adam_step(params, state, lr=cfg.lr)
+                # Each stage is updated as soon as its grads are set, and its
+                # grads are dropped, so only one stage's grads are ever alive.
+                for stage_params in backward_stages(model, cache, grad):
+                    adam_step(stage_params, state, lr=cfg.lr)
+                    for p in stage_params:
+                        p.grad = None
             model.step += 1
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))

@@ -198,12 +198,15 @@ def _load_pairs(data_dir: str, mode: str, patch: int):
 
 
 def _cmd_train(args) -> int:
+    # Flag values are checked before the model and the pages are read.
+    if not 0.0 <= args.holdout < 1.0:
+        raise ScrollbinError(f"--holdout must be in [0, 1), got {args.holdout}")
+    cfg = binet.TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed, batch_size=args.batch)
+
     init = binet.load_weights(args.init) if args.init else None
     patch = init.patch if init else 256
     pairs = _load_pairs(args.data, args.mode, patch)
 
-    if not 0.0 <= args.holdout < 1.0:
-        raise ScrollbinError(f"--holdout must be in [0, 1), got {args.holdout}")
     holdout_pairs = []
     if args.holdout > 0:
         rng = np.random.default_rng(args.seed)
@@ -214,7 +217,6 @@ def _cmd_train(args) -> int:
         holdout_pairs = [pairs[i] for i in order[:n_hold]]
         pairs = [pairs[i] for i in order[n_hold:]]
 
-    cfg = binet.TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed, batch_size=args.batch)
     in_channels = 1 if args.mode == "gray" else 3
     model, history = binet.train(pairs, cfg, init=init, in_channels=in_channels)
     for epoch, loss in enumerate(history, start=1):

@@ -20,6 +20,7 @@ from scrollbin.autodiff import (
     BatchNormParams,
     ConvParams,
     Param,
+    _corr_weight_grad,
     adam_step,
     all_finite,
     batchnorm_bwd,
@@ -556,6 +557,78 @@ class TestAdam:
         with pytest.raises(ScrollbinError, match="grad"):
             adam_step([p], state)
         assert state.t == 0 and (p.data == 1).all()
+
+
+class TestAdamOnParts:
+    """adam_step on parts of a state's params, as training runs it per stage."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parts_match_one_whole_step(self, dtype):
+        rng = np.random.default_rng(70)
+        shapes = [(3,), (CHUNK + 1,), (4, 2, 4, 4), (5,)]
+        whole = [Param(rng.normal(0, 1, s).astype(dtype)) for s in shapes]
+        parts = [Param(p.data.copy()) for p in whole]
+        whole_state, parts_state = AdamState(whole), AdamState(parts)
+        for _ in range(3):
+            for a, b in zip(whole, parts):
+                a.grad = rng.normal(0, 1, a.shape).astype(dtype)
+                b.grad = a.grad.copy()
+            adam_step(whole, whole_state, lr=1e-2)
+            # reversed order and uneven parts, as the stages of a backward give them
+            adam_step(parts[2:][::-1], parts_state, lr=1e-2)
+            adam_step(parts[:2], parts_state, lr=1e-2)
+        assert whole_state.t == parts_state.t == 3
+        for a, b, *moments in zip(whole, parts, whole_state.m, parts_state.m, whole_state.v, parts_state.v):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert moments[0].tobytes() == moments[1].tobytes()
+            assert moments[2].tobytes() == moments[3].tobytes()
+
+    def test_each_param_counts_its_own_steps(self):
+        a, b = Param(np.zeros(2)), Param(np.zeros(2))
+        a.grad = b.grad = np.ones(2)
+        state = AdamState([a, b])
+        adam_step([a], state)
+        adam_step([a], state)
+        adam_step([b], state)
+        assert state.steps == [2, 1] and state.t == 2
+        # b's first step is bias-corrected as a first step: it moves by lr
+        assert b.data[0] == pytest.approx(-2e-4, rel=1e-6)
+
+    def test_param_outside_the_state_rejected_before_any_update(self):
+        known, stranger = Param(np.ones(3)), Param(np.ones(3))
+        known.grad = stranger.grad = np.ones(3)
+        state = AdamState([known])
+        with pytest.raises(ScrollbinError, match="no Adam state"):
+            adam_step([known, stranger], state)
+        assert state.t == 0 and (known.data == 1).all()
+
+
+class TestWeightGradInnerDimensionOne:
+    """The outer-product path of _corr_weight_grad gives the GEMM's bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("inner", [1, 2])
+    def test_bytes_match_gemm(self, dtype, inner):
+        rng = np.random.default_rng(71)
+        co, ci = 9, 5
+        g = rng.normal(0, 1, (inner, co, 1, 1)).astype(dtype)
+        cols = rng.normal(0, 1, (ci * 16, inner)).astype(dtype)
+        # zeros of both signs, and products that underflow to -0
+        g.reshape(-1)[::3] = -0.0
+        g.reshape(-1)[1::4] = 0.0
+        g.reshape(-1)[2::5] = -np.finfo(dtype).tiny
+        cols[::2] = 0.0
+        cols[1::5] = -0.0
+        cols[3::7] = np.finfo(dtype).tiny
+        gmat = g.transpose(1, 0, 2, 3).reshape(co, -1)
+        expect = (gmat @ cols.T).reshape(co, ci, 4, 4)
+        got = _corr_weight_grad(cols, g, ci)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expect.tobytes()
+        if inner == 1:  # the plain outer product holds -0 where the GEMM has +0
+            outer = np.multiply.outer(gmat[:, 0], cols[:, 0])
+            assert (np.signbit(outer) & (outer == 0)).any()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

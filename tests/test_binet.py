@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, max_rel_err, naive_binet_eval
 
 from scrollbin import binet
-from scrollbin.autodiff import ConvParams, Param, l1_loss
+from scrollbin.autodiff import AdamState, ConvParams, Param, adam_step, l1_loss
 from scrollbin.binet import (
     ENCODER_CHANNELS,
     NetParams,
@@ -332,6 +332,98 @@ class TestTrain:
         model, hist = train(data, cfg, init=tiny_model())
         assert model.step == 4  # ceil(3/2) steps per epoch
         assert len(hist) == 2
+
+
+def whole_model_train(dataset, cfg, model):
+    """The training loop with one whole-model update per step: the full
+    backward sets every gradient, then one adam_step updates all params.
+    Returns (model, history). It composes the package's own ops, because
+    what it pins is the order of the update, not the kernels. It lives here
+    rather than in oracles.py because the benchmark loads oracles.py into
+    the process whose memory it measures."""
+    rng = np.random.default_rng(cfg.seed)
+    params = model.params()
+    state = AdamState(params)
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(dataset))
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            x = np.concatenate([normalize_input(dataset[i][0]) for i in batch], axis=0)
+            t = np.concatenate([mask_to_target(dataset[i][1]) for i in batch], axis=0)
+            out, cache = binet._forward_cached(model, x, rng)
+            loss, grad = l1_loss(out, t)
+            backward(model, cache, grad)
+            adam_step(params, state, lr=cfg.lr)
+            model.step += 1
+            losses.append(loss)
+        history.append(float(np.mean(losses)))
+    return model, history
+
+
+class TestTrainPerStage:
+    """train updates each stage inside the backward; the bytes stay those of
+    one whole-model update after the full backward."""
+
+    @pytest.mark.parametrize("batch, samples", [(1, 3), (2, 5)])  # 3 steps each
+    def test_matches_whole_model_update(self, batch, samples):
+        rng = np.random.default_rng(20)
+        data = [(random_gray(rng, 16, 16), BinaryMask(rng.random((16, 16)) < 0.3)) for _ in range(samples)]
+        cfg = TrainConfig(epochs=1, lr=1e-2, seed=4, batch_size=batch)
+        got, got_hist = train(data, cfg, init=tiny_model(seed=6, dropout=(0, 1)))
+        want, want_hist = whole_model_train(data, cfg, tiny_model(seed=6, dropout=(0, 1)))
+        assert got.step == want.step == 3
+        assert got_hist == want_hist
+        for (name, a), (_, b) in zip(got.named_tensors(), want.named_tensors()):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_only_one_stage_holds_grads(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        data = [(random_gray(rng, 16, 16), BinaryMask(rng.random((16, 16)) < 0.3)) for _ in range(2)]
+        model = tiny_model(seed=7, dropout=(0,))
+        everything = model.params()
+        stages = model.decoder[::-1] + model.encoder[::-1]  # the order of the backward
+        calls = []
+        real_step = binet.adam_step
+
+        def checked_step(params, state, **kw):
+            with_grad = {id(p) for p in everything if p.grad is not None}
+            assert with_grad == {id(p) for p in params}
+            calls.append([id(p) for p in params])
+            real_step(params, state, **kw)
+
+        monkeypatch.setattr(binet, "adam_step", checked_step)
+        train(data, TrainConfig(epochs=1, seed=2), init=model)
+        one_step = [[id(p) for p in st.conv.params() + (st.bn.params() if st.bn else [])] for st in stages]
+        assert calls == one_step * 2
+        assert all(p.grad is None for p in everything)
+
+    def test_full_model_backward_holds_one_stage_of_grads(self, text_dataset):
+        # The full model's weights take 218 MB; its largest stage's, 32 MB.
+        model = build_model(1, 8)
+        peaks = []
+        real_stages, real_step = binet.backward_stages, binet.adam_step
+
+        def stages(*args):
+            tracemalloc.reset_peak()
+            peaks.append(tracemalloc.get_traced_memory()[0])  # the footprint at the start
+            yield from real_stages(*args)
+
+        def step(*args, **kw):
+            real_step(*args, **kw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(binet, "backward_stages", stages)
+                mp.setattr(binet, "adam_step", step)
+                train(text_dataset[:1], TrainConfig(epochs=1, seed=1), init=model)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 17
+        assert max(peaks[1:]) - peaks[0] < 64 << 20
 
 
 class TestBinarizeImage:

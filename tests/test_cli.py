@@ -430,6 +430,25 @@ class TestModelCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [("--holdout", "2", "--holdout must be in [0, 1)"), ("--holdout", "nan", "--holdout must be in [0, 1)"),
+         ("--epochs", "0", "epochs must be >= 1"), ("--lr", "-1", "lr must be positive and finite"),
+         ("--batch", "0", "batch_size must be >= 1")],
+    )
+    @pytest.mark.parametrize("init", ["missing", "corrupt"])
+    def test_bad_flag_value_rejected_before_loading(self, tmp_path, capsys, flag, value, reason, init):
+        init_path = tmp_path / "init.bnet"
+        if init == "corrupt":
+            init_path.write_bytes(b"XNET" + bytes(60))
+        code = main(
+            ["train", "--data", str(tmp_path / "no-such-dir"), "--mode", "gray", "--init", str(init_path),
+             flag, value, "--out", str(tmp_path / "m.bnet")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+
     def test_holdout_reports_loss(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         for i in range(2):
