@@ -278,16 +278,41 @@ def _cmd_evaluate_set(args) -> int:
     if not entries:
         raise ScrollbinError(f"{args.pairs}: empty manifest")
 
-    def score(entry):
-        pred_path, gt_path = entry
-        return metrics.evaluate(_read_mask(pred_path), _read_mask(gt_path))
+    # Lines sharing a ground-truth path (as written) form one group, which
+    # reads and prepares that ground truth once.
+    groups: dict[str, list[int]] = {}
+    for index, (_, gt_path) in enumerate(entries):
+        groups.setdefault(gt_path, []).append(index)
 
-    workers = min(args.threads, os.cpu_count() or 1)
+    def score_group(gt_path, indices):
+        """Each line's scores, or the error it would raise on its own: a
+        pred that fails to read wins over a bad ground truth."""
+        try:
+            truth = metrics.GroundTruth(_read_mask(gt_path))
+        except (ScrollbinError, OSError) as exc:
+            truth = exc
+        results = []
+        for index in indices:
+            try:
+                pred = _read_mask(entries[index][0])
+                results.append(truth if isinstance(truth, Exception) else metrics.evaluate(pred, truth))
+            except (ScrollbinError, OSError) as exc:
+                results.append(exc)
+        return results
+
+    workers = min(args.threads, os.cpu_count() or 1, len(groups))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(score, entries))
+            outcomes = list(pool.map(score_group, groups.keys(), groups.values()))
     else:
-        records = [score(e) for e in entries]
+        outcomes = [score_group(gt_path, indices) for gt_path, indices in groups.items()]
+    records = [None] * len(entries)
+    for indices, results in zip(groups.values(), outcomes):
+        for index, result in zip(indices, results):
+            records[index] = result
+    for result in records:  # the first bad line in manifest order is reported
+        if isinstance(result, Exception):
+            raise result
 
     report = metrics.aggregate(records)
     payload = {

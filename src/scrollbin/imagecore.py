@@ -144,16 +144,21 @@ def _sample_ok(token: bytes) -> bool:
 
 def _plain_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     body = _COMMENT.sub(b"", data[pos:])
-    tokens = body.split(maxsplit=min(count, len(body)))
-    if len(tokens) > count:
-        body = body[: len(body) - len(tokens.pop())]  # drop what follows the payload
+    octets = np.frombuffer(body, dtype=np.uint8)
+    space = (octets == 32) | ((octets >= 9) & (octets <= 13))  # the bytes of _WHITESPACE
+    starts = np.append(True, space[:-1]) & ~space  # each token's first byte
+    found = int(np.count_nonzero(starts))
+    if found > count:
+        body = body[: np.flatnonzero(starts)[count]]  # drop what follows the payload
+        found = count
     if not body.translate(None, _DIGITS + _WHITESPACE):
         # Saturates rather than wraps; whitespace alone would parse as [0].
-        values = np.fromstring(body, dtype=np.int64, sep=" ")[: len(tokens)]
+        values = np.fromstring(body, dtype=np.int64, sep=" ")[:found]
         if values.max(initial=0) <= 255:
             if len(values) < count:
                 raise PnmDecodeError(f"truncated payload: {len(values)} of {count} samples", len(data))
             return values.astype(np.uint8)
+    tokens = body.split()
     bad = next(i for i, token in enumerate(tokens) if not _sample_ok(token))
     at = next(itertools.islice(_TOKEN.finditer(data, pos), bad, None)).start()
     raise PnmDecodeError(f"bad sample {tokens[bad][:16]!r}: need 0-255", at)

@@ -3,7 +3,9 @@
 All four compare a predicted BinaryMask against a ground-truth BinaryMask of
 the same dimensions, with ink as the positive class. PSNR of identical masks
 is reported as +inf (serialized as the string "inf"); aggregation excludes
-infinite PSNR values and counts them separately.
+infinite PSNR values and counts them separately. evaluate, pseudo_f_measure,
+drd and the weight maps also take a GroundTruth, which prepares one ground
+truth once for scoring many predictions against it.
 
 The pseudo-F weights are a self-contained approximation of the
 stroke-width-weighted recall/precision idea: recall weights scale each
@@ -82,23 +84,64 @@ def f_measure(c: Confusion) -> float:
 
 
 # ---------------------------------------------------------------------------
+# A ground truth prepared once
+# ---------------------------------------------------------------------------
+
+
+class GroundTruth:
+    """One ground truth prepared for scoring any number of predictions.
+
+    It holds the ground-truth work that every metric would otherwise redo for
+    each pair: the non-uniform block count and the padded ink that DRD reads,
+    built here, and the two pseudo-F weight maps, built on first use (a
+    prediction without a true positive never needs them). The functions that
+    read these parts take either a GroundTruth or a mask, which they prepare
+    themselves. A GroundTruth is meant for one thread at a time.
+    """
+
+    def __init__(self, mask: BinaryMask):
+        self.mask = mask
+        self.blocks = nubn(mask)
+        # Ink as 0/1 with a 2-pixel border of 2, a value no class equals.
+        self.padded = np.pad(mask.ink.view(np.uint8), 2, constant_values=2)
+        self._weights = None
+
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The recall and precision weight maps (see recall_weights and
+        precision_weights), computed once from one set of stroke components."""
+        if self._weights is None:
+            g = self.mask.ink
+            if g.any():
+                components = _stroke_components(g)
+                self._weights = _recall_weights(g, components), _precision_weights(g, components)
+            else:
+                self._weights = np.zeros(g.shape), np.ones(g.shape)
+        return self._weights
+
+
+def _prepared(gt: BinaryMask | GroundTruth) -> GroundTruth:
+    return gt if isinstance(gt, GroundTruth) else GroundTruth(gt)
+
+
+# ---------------------------------------------------------------------------
 # Pseudo-F-measure
 # ---------------------------------------------------------------------------
 
 
 def _stroke_components(gt_ink: np.ndarray):
+    """Distance to background, 8-connected labels, and each label's deepest
+    distance (index 0, the background, is 0)."""
     dist = ndimage.distance_transform_edt(gt_ink)
     labels, count = ndimage.label(gt_ink, structure=_EIGHT_CONNECTED)
-    if count == 0:
-        return dist, labels, np.zeros(0)
-    comp_max = ndimage.maximum(dist, labels, index=np.arange(1, count + 1))
-    return dist, labels, np.atleast_1d(comp_max)
+    comp_max = np.zeros(count + 1)
+    np.maximum.at(comp_max, labels[gt_ink], dist[gt_ink])
+    return dist, labels, comp_max
 
 
 def _recall_weights(g: np.ndarray, components) -> np.ndarray:
     dist, labels, comp_max = components
     weights = np.zeros(g.shape, dtype=np.float64)
-    weights[g] = np.clip(dist[g] / comp_max[labels[g] - 1], 0.0, 1.0)
+    weights[g] = np.clip(dist[g] / comp_max[labels[g]], 0.0, 1.0)
     return weights
 
 
@@ -106,43 +149,31 @@ def _precision_weights(g: np.ndarray, components) -> np.ndarray:
     _, labels, comp_max = components
     stroke_width = 2.0 * comp_max
     d, (iy, ix) = ndimage.distance_transform_edt(~g, return_indices=True)
-    sw = stroke_width[labels[iy, ix] - 1]
+    sw = stroke_width[labels[iy, ix]]
     return np.where(d <= sw, np.clip(2.0 - d / sw, 1.0, 2.0), 1.0)
 
 
-def recall_weights(gt: BinaryMask) -> np.ndarray:
+def recall_weights(gt: BinaryMask | GroundTruth) -> np.ndarray:
     """Per-pixel recall weight in [0, 1]: zero off ink, and on ink the pixel's
     distance-to-background divided by the deepest distance of its component."""
-    g = gt.ink
-    if not g.any():
-        return np.zeros(g.shape, dtype=np.float64)
-    return _recall_weights(g, _stroke_components(g))
+    return _prepared(gt).weights()[0]
 
 
-def precision_weights(gt: BinaryMask) -> np.ndarray:
+def precision_weights(gt: BinaryMask | GroundTruth) -> np.ndarray:
     """Per-pixel precision weight in [1, 2]: 2 on ink, decaying linearly to 1
     across one stroke width (twice the component's deepest distance) of the
     nearest ink component, and 1 beyond."""
-    g = gt.ink
-    if not g.any():
-        return np.ones(g.shape, dtype=np.float64)
-    return _precision_weights(g, _stroke_components(g))
+    return _prepared(gt).weights()[1]
 
 
-def pseudo_f_measure(pred: BinaryMask, gt: BinaryMask) -> float:
-    """F formula over stroke-weighted recall and contour-band-weighted precision.
-
-    The stroke components (distance transform and 8-connected labelling) are
-    computed once and feed both weightings.
-    """
-    _check_dims(pred, gt)
-    c = confusion(pred, gt)
+def pseudo_f_measure(pred: BinaryMask, gt: BinaryMask | GroundTruth) -> float:
+    """F formula over stroke-weighted recall and contour-band-weighted precision."""
+    truth = _prepared(gt)
+    c = confusion(pred, truth.mask)
     if c.tp == 0:
         return 1.0 if c.fp == 0 and c.fn == 0 else 0.0
-    g = gt.ink  # tp > 0, so the ground truth has ink
-    components = _stroke_components(g)
-    w_r = _recall_weights(g, components)
-    w_p = _precision_weights(g, components)
+    w_r, w_p = truth.weights()
+    g = truth.mask.ink
     correct = pred.ink & g
     p_recall = w_r[correct].sum() / w_r[g].sum()
     p_precision = w_p[correct].sum() / w_p[pred.ink].sum()
@@ -196,7 +227,7 @@ def nubn(gt: BinaryMask) -> int:
     return int(np.count_nonzero((sums > 0) & (sums < sizes)))
 
 
-def drd(pred: BinaryMask, gt: BinaryMask) -> float:
+def drd(pred: BinaryMask, gt: BinaryMask | GroundTruth) -> float:
     """Distance reciprocal distortion.
 
     Each flipped pixel contributes the weighted count of 5x5 ground-truth
@@ -205,33 +236,32 @@ def drd(pred: BinaryMask, gt: BinaryMask) -> float:
     the non-uniform-block count; with no non-uniform blocks the score is 0
     for identical masks and +inf otherwise.
     """
-    _check_dims(pred, gt)
-    flipped = pred.ink ^ gt.ink
-    s = int(np.count_nonzero(flipped))
-    blocks = nubn(gt)
-    if blocks == 0:
-        return 0.0 if s == 0 else math.inf
-    if s == 0:
+    truth = _prepared(gt)
+    _check_dims(pred, truth.mask)
+    flipped = np.flatnonzero(pred.ink ^ truth.mask.ink)
+    if truth.blocks == 0:
+        return 0.0 if flipped.size == 0 else math.inf
+    if flipped.size == 0:
         return 0.0
 
+    # A flipped pixel predicts the class opposite to its ground truth, so a
+    # neighbor disagrees with the prediction exactly when it equals the
+    # pixel's own ground truth; the border value 2 equals neither class.
+    # Terms are added from 0.0 in tap order and pixels summed in row-major
+    # order, which tests/test_metrics_reference.py holds byte-identical to
+    # the whole-map definition.
     w = drd_weight_matrix()
-    g = gt.ink.astype(np.float64)
-    h, wid = g.shape
-    # distortion against predicted value 1: sum of weights where gt == 0,
-    # with out-of-bounds gt acting as 1; and symmetrically for value 0
-    pad1 = np.pad(g, 2, constant_values=1.0)
-    pad0 = np.pad(g, 2, constant_values=0.0)
-    dist_vs_ink = np.zeros((h, wid))
-    dist_vs_bg = np.zeros((h, wid))
+    stride = pred.width + 4
+    padded = truth.padded.ravel()
+    corner = flipped // pred.width * 4 + flipped  # the window's top-left in padded
+    center = padded[corner + (2 * stride + 2)]
+    distortion = np.zeros(flipped.size)
     for i in range(5):
         for j in range(5):
             if w[i, j] == 0.0:
                 continue
-            dist_vs_ink += w[i, j] * (1.0 - pad1[i : i + h, j : j + wid])
-            dist_vs_bg += w[i, j] * pad0[i : i + h, j : j + wid]
-
-    total = float(np.where(pred.ink, dist_vs_ink, dist_vs_bg)[flipped].sum())
-    return total / blocks
+            distortion += w[i, j] * (padded[corner + (i * stride + j)] == center)
+    return float(distortion.sum()) / truth.blocks
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +269,15 @@ def drd(pred: BinaryMask, gt: BinaryMask) -> float:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(pred: BinaryMask, gt: BinaryMask) -> ImageScores:
+def evaluate(pred: BinaryMask, gt: BinaryMask | GroundTruth) -> ImageScores:
+    """All four scores of one prediction. Pass a GroundTruth to score several
+    predictions against one ground truth without redoing its work."""
+    truth = _prepared(gt)
     return ImageScores(
-        f=f_measure(confusion(pred, gt)),
-        pf=pseudo_f_measure(pred, gt),
-        psnr=psnr(pred, gt),
-        drd=drd(pred, gt),
+        f=f_measure(confusion(pred, truth.mask)),
+        pf=pseudo_f_measure(pred, truth),
+        psnr=psnr(pred, truth.mask),
+        drd=drd(pred, truth),
     )
 
 

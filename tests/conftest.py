@@ -27,6 +27,19 @@ def make_text_patch(rng: np.random.Generator, size: int = 256, strokes: int = 45
     return GrayImage(image.astype(np.uint8)), BinaryMask(ink)
 
 
+def stroke_ink(rng: np.random.Generator, height: int, width: int, strokes: int) -> np.ndarray:
+    """Ground-truth ink of bars 3-9 px thick, like a page of handwriting."""
+    ink = np.zeros((height, width), dtype=bool)
+    for _ in range(strokes):
+        t, length = int(rng.integers(3, 10)), int(rng.integers(20, 70))
+        y, x = int(rng.integers(0, height - t)), int(rng.integers(0, width - t))
+        if rng.random() < 0.5:
+            ink[y : y + t, x : x + length] = True
+        else:
+            ink[y : y + length, x : x + t] = True
+    return ink
+
+
 @pytest.fixture(scope="session")
 def text_dataset():
     """Four deterministic synthetic text patches with ground truth."""

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from conftest import stroke_ink
 
 from scrollbin import binet, cli
 from scrollbin.cli import main
@@ -122,6 +125,92 @@ class TestEvaluateSet:
         assert main(["evaluate-set", "--pairs", str(manifest), "--json", "--threads", "64"]) == 0
         assert asked == [2]
         assert capsys.readouterr().out == single
+
+    @staticmethod
+    def method_major(tmp_path, rng):
+        """Three methods' preds over two ground truths, one method after another."""
+        gts = [rng.random((14, 18)) < 0.35 for _ in range(2)]
+        gt_paths = [write_mask(tmp_path / f"g{k}.pbm", g) for k, g in enumerate(gts)]
+        lines = []
+        for m in range(3):
+            for k, g in enumerate(gts):
+                pred = write_mask(tmp_path / f"m{m}_{k}.pbm", g ^ (rng.random(g.shape) < 0.1 * m))
+                lines.append((pred, gt_paths[k]))
+        return lines
+
+    def test_method_major_manifest_matches_evaluate(self, tmp_path, capsys):
+        lines = self.method_major(tmp_path, np.random.default_rng(12))
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("".join(f"{pred}\t{gt}\n" for pred, gt in lines))
+        expected = []
+        for pred, gt in lines:
+            assert main(["evaluate", "--pred", pred, "--gt", gt, "--json"]) == 0
+            expected.append({"pred": pred, "gt": gt, **json.loads(capsys.readouterr().out)})
+        assert main(["evaluate-set", "--pairs", str(manifest), "--json", "--threads", "1"]) == 0
+        single = capsys.readouterr().out
+        assert json.loads(single)["images"] == expected
+        assert main(["evaluate-set", "--pairs", str(manifest), "--json", "--threads", "4"]) == 0
+        assert capsys.readouterr().out == single
+
+    def test_each_ground_truth_read_once(self, tmp_path, capsys, monkeypatch):
+        lines = self.method_major(tmp_path, np.random.default_rng(13))
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("".join(f"{pred}\t{gt}\n" for pred, gt in lines))
+        reads = []
+        read_mask = cli._read_mask
+
+        def counting(path):
+            reads.append(path)
+            return read_mask(path)
+
+        monkeypatch.setattr(cli, "_read_mask", counting)
+        for threads in ("1", "4"):
+            reads.clear()
+            assert main(["evaluate-set", "--pairs", str(manifest), "--threads", threads]) == 0
+            assert sorted(reads) == sorted({gt for _, gt in lines} | {pred for pred, _ in lines})
+        capsys.readouterr()
+
+    def test_one_ground_truth_alive_at_a_time(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        lines = []
+        for k in range(3):
+            gt = stroke_ink(rng, 400, 900, 300)
+            pred = write_mask(tmp_path / f"p{k}.pbm", gt ^ (rng.random(gt.shape) < 0.02))
+            lines.append(f"{pred}\t{write_mask(tmp_path / f'g{k}.pbm', gt)}\n")
+        peaks = []
+        for manifest_lines in (lines[:1], lines):
+            manifest = tmp_path / "pairs.tsv"
+            manifest.write_text("".join(manifest_lines))
+            tracemalloc.start()
+            try:
+                assert main(["evaluate-set", "--pairs", str(manifest), "--threads", "1"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] <= 1.10 * peaks[0]
+
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_first_bad_line_reported_across_groups(self, tmp_path, capsys, threads):
+        good = write_mask(tmp_path / "good.pbm", np.eye(8, dtype=bool))
+        bad = tmp_path / "bad.pbm"
+        bad.write_bytes(b"P4 8 8\n\x00")
+        missing = str(tmp_path / "missing.pbm")
+        manifest = tmp_path / "pairs.tsv"
+        # Line 2's ground truth is bad, line 4's pred is missing, and they are in different groups.
+        manifest.write_text(f"{good}\t{good}\n{good}\t{bad}\n{good}\t{good}\n{missing}\t{good}\n")
+        assert main(["evaluate-set", "--pairs", str(manifest), "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(cli.ScrollbinError) as line_two:
+            cli._read_mask(bad)
+        assert captured.err == f"error: {line_two.value}\n"
+
+        # Within one line a pred that fails to read wins over a bad ground truth.
+        manifest.write_text(f"{good}\t{good}\n{missing}\t{bad}\n")
+        assert main(["evaluate-set", "--pairs", str(manifest), "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.pbm" in err and err.count("\n") == 1
 
     def test_bad_manifest_line(self, tmp_path):
         manifest = tmp_path / "pairs.tsv"

@@ -122,6 +122,33 @@ def test_bytes_after_plain_payload_ignored(tmp_path):
     assert mask.ink.tolist() == [[False, True]]
 
 
+@pytest.mark.parametrize(
+    "data, rows",
+    [
+        (b"P2 3 1 255 10 20 30 40 bad 999\n", [[10, 20, 30]]),  # tokens after the payload
+        (b"P2 2 2 255\n1 2\n3 4\n# trailer\n256 x\n", [[1, 2], [3, 4]]),
+        (b"P2 3 1 255 10 # 99 junk\n20\t30", [[10, 20, 30]]),  # a comment inside the payload
+        (b"P2 3 1 255\n7#c\n9 # 300\n11", [[7, 9, 11]]),
+    ],
+)
+def test_plain_gray_payload_ends_at_its_last_sample(tmp_path, data, rows):
+    assert read_pnm(write_bytes(tmp_path / "a.pgm", data)).pixels.tolist() == rows
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P2 3 1 255 10 20", "truncated payload: 2 of 3 samples (byte offset 16)"),
+        (b"P2 3 1 255 10 20 # 30\n", "truncated payload: 2 of 3 samples (byte offset 22)"),
+        (b"P2 2 2 255\n1 2\n3", "truncated payload: 3 of 4 samples (byte offset 16)"),
+    ],
+)
+def test_plain_gray_payload_one_sample_short(tmp_path, data, message):
+    with pytest.raises(PnmDecodeError) as err:
+        read_pnm(write_bytes(tmp_path / "a.pgm", data))
+    assert str(err.value) == message
+
+
 def _scatter(rng, tokens, packed=False) -> bytes:
     """Join tokens with random whitespace runs and comments, or none if packed."""
     out = []

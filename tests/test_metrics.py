@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import stroke_ink
 from oracles import (
     naive_counts,
     naive_drd,
@@ -291,3 +293,19 @@ def test_evaluate_is_pure():
     before = (pred.ink.copy(), gt.ink.copy())
     evaluate(pred, gt)
     assert np.array_equal(pred.ink, before[0]) and np.array_equal(gt.ink, before[1])
+
+
+def test_evaluate_peak_memory_per_pixel():
+    # A page-sized pair with 1% of its pixels flipped; the whole-map DRD and
+    # per-pair pseudo-F it replaced peaked at 61 B/px here.
+    rng = np.random.default_rng(11)
+    h, w = 1200, 3608
+    ink = stroke_ink(rng, h, w, 4000)
+    pred, gt = mask(ink ^ (rng.random((h, w)) < 0.01)), mask(ink)
+    tracemalloc.start()
+    try:
+        evaluate(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * h * w
