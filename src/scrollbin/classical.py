@@ -4,12 +4,13 @@ All four map a GrayImage to a BinaryMask under the fixed convention that
 darker pixels are ink: a pixel is ink iff its value is <= the threshold.
 Local window statistics are computed over the window clamped to the image
 bounds, so only real pixels contribute. Windows must be odd so they center
-on the pixel; the conventional 70x70 window snaps to 71. Niblack and Sauvola
-read the window mean and std from integral images. Local Otsu sweeps tiles
-of columns, each sliding one histogram per column down the rows, so its
-memory is O((TILE + window) x 256) whatever the width. A window larger
-than the image clamps to it: any window from 2*max(h, w) + 1 up gives the
-same mask.
+on the pixel; the conventional 70x70 window snaps to 71. All three local
+methods sweep tiles of TILE columns and read each window's sums from prefix
+sums through one helper, so their memory does not grow with the width.
+Niblack and Sauvola sum the values and their squares as exact int64; local
+Otsu slides one histogram per column down the rows, so its memory is
+O((TILE + window) x 256). A window larger than the image clamps to it: any
+window from 2*max(h, w) + 1 up gives the same mask.
 """
 
 from __future__ import annotations
@@ -76,8 +77,16 @@ def _otsu_threshold_exact(hist) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Clamped-window statistics via integral images
+# Clamped windows, swept in column tiles
 # ---------------------------------------------------------------------------
+
+TILE = 384
+"""Columns per tile of the local sweeps; a tile's tables hold TILE plus one window of columns.
+
+Measured for local Otsu on 2 cores: at 256 the 330-wide bench page takes two
+tiles and ran slower; on a 3608-wide page 256, 384 and 512 ran within 5% of
+each other at window 71, 384 ran fastest at window 301, and 384 peaks under 6 MB.
+"""
 
 
 def _check_window(window: int) -> int:
@@ -106,47 +115,58 @@ def _window_bounds(size: int, half: int):
     return lo, hi
 
 
-def window_mean_std(img: GrayImage, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel mean and population std over the edge-clamped window.
+def _window_sums(prefix, a: int, t: int, half: int, size: int, out):
+    """Sums over the clamped windows of positions [a, a + t) of the last axis.
 
-    Integral images of the values and their squares give O(1) statistics per
-    pixel. Sums stay in int64 (exact); the variance is clamped at 0 to absorb
-    the roundoff of the mean-square subtraction.
+    prefix[..., j] sums positions [lo, lo + j), lo = max(a - half, 0), up to
+    min(a + t + half, size), the last position those windows reach. The
+    window of a + x ends at that last position from x = xu on, and it starts
+    at position 0 before x = xl. Writes the sums into out and returns it.
+    """
+    lo = max(a - half, 0)
+    first = a + half + 1 - lo
+    xu, xl = min(max(size - half - a, 0), t), min(max(half - a, 0), t)
+    out[..., :xu] = prefix[..., first : first + xu]
+    out[..., xu:] = prefix[..., -1:]
+    out[..., xl:] -= prefix[..., : t - xl]
+    return out
+
+
+def _local_threshold(img: GrayImage, window: int, threshold) -> BinaryMask:
+    """Ink iff value <= threshold(mean, std) of the pixel's edge-clamped window.
+
+    Each tile of TILE columns sums its values and their squares down the rows
+    and then across the columns, as exact int64 prefix sums, so memory is
+    O(h x (TILE + window)) whatever the width. The variance is clamped at 0 to
+    absorb the roundoff of the mean-square subtraction.
     """
     half = _check_window(window)
     h, w = img.pixels.shape
-    vals = img.pixels.astype(np.int64)
-
-    integral = np.zeros((h + 1, w + 1), dtype=np.int64)
-    integral_sq = np.zeros((h + 1, w + 1), dtype=np.int64)
-    integral[1:, 1:] = vals.cumsum(0).cumsum(1)
-    integral_sq[1:, 1:] = (vals * vals).cumsum(0).cumsum(1)
-
-    y0, y1 = _window_bounds(h, half)
-    x0, x1 = _window_bounds(w, half)
-    count = (y1 - y0)[:, None] * (x1 - x0)[None, :]
-
-    def box(table):
-        return (
-            table[y1[:, None], x1[None, :]]
-            - table[y0[:, None], x1[None, :]]
-            - table[y1[:, None], x0[None, :]]
-            + table[y0[:, None], x0[None, :]]
-        )
-
-    total = box(integral).astype(np.float64)
-    total_sq = box(integral_sq).astype(np.float64)
-    mean = total / count
-    var = np.maximum(total_sq / count - mean * mean, 0.0)
-    return mean, np.sqrt(var)
+    hy, hx = min(half, h - 1), min(half, w - 1)
+    (y0, y1), (x0, x1) = _window_bounds(h, hy), _window_bounds(w, hx)
+    ink = np.empty((h, w), dtype=np.bool_)
+    for a in range(0, w, TILE):
+        b = min(a + TILE, w)
+        band = img.pixels[:, max(a - hx, 0) : b + hx]
+        # Values in plane 0, squares in plane 1, each with a zero first row and
+        # column; rebinding sums frees each table once the next one is built.
+        sums = np.zeros((2, h + 1, band.shape[1] + 1), dtype=np.int64)
+        np.cumsum(band, axis=0, dtype=np.int64, out=sums[0, 1:, 1:])
+        np.cumsum(np.square(band, dtype=np.int64), axis=0, out=sums[1, 1:, 1:])
+        sums = _window_sums(sums.mT, 0, h, hy, h, np.empty_like(sums[:, 1:]).mT).mT
+        np.cumsum(sums, axis=2, out=sums)
+        total, total_sq = sums = _window_sums(sums, a, b - a, hx, w, np.empty((2, h, b - a), dtype=np.int64))
+        count = (y1 - y0)[:, None] * (x1 - x0)[None, a:b]
+        mean = total / count
+        var = np.maximum(total_sq / count - mean * mean, 0.0)
+        ink[:, a:b] = img.pixels[:, a:b] <= threshold(mean, np.sqrt(var))
+    return BinaryMask(ink)
 
 
 def niblack(img: GrayImage, window: int = DEFAULT_WINDOW, k: float = NIBLACK_K) -> BinaryMask:
     """Niblack local threshold T = m + k*s; ink iff value <= T."""
     _check_finite("k", k)
-    mean, std = window_mean_std(img, window)
-    thresh = mean + k * std
-    return BinaryMask(img.pixels.astype(np.float64) <= thresh)
+    return _local_threshold(img, window, lambda mean, std: mean + k * std)
 
 
 def sauvola(
@@ -157,22 +177,12 @@ def sauvola(
     _check_finite("R", r)
     if r <= 0:
         raise ScrollbinError(f"R must be positive, got {r}")
-    mean, std = window_mean_std(img, window)
-    thresh = mean * (1.0 + k * (std / r - 1.0))
-    return BinaryMask(img.pixels.astype(np.float64) <= thresh)
+    return _local_threshold(img, window, lambda mean, std: mean * (1.0 + k * (std / r - 1.0)))
 
 
 # ---------------------------------------------------------------------------
 # Local Otsu
 # ---------------------------------------------------------------------------
-
-TILE = 384
-"""Columns per local Otsu tile; its tables hold TILE plus one window of columns.
-
-Measured on 2 cores: at 256 the 330-wide bench page takes two tiles and ran
-slower; on a 3608-wide page 256, 384 and 512 ran within 5% of each other at
-window 71, 384 ran fastest at window 301, and 384 peaks under 6 MB.
-"""
 
 
 def _sweep_dtypes(area: int, table_px: int):
@@ -245,11 +255,6 @@ def _otsu_tile(pixels, a: int, b: int, hx: int, y0, y1, dtypes, ink) -> None:
     lo, hi = max(a - hx, 0), min(b + hx, w)
     band = pixels[:, lo:hi]
     where = np.arange(hi - lo)
-    # The window of image column a + x is prefix[:, first + x] minus
-    # prefix[:, x - xl]. From x = xu on it ends at the image's right edge,
-    # the table's last column; before x = xl it starts at image column 0.
-    first = a + hx + 1 - lo
-    xu, xl = min(max(w - hx - a, 0), t), min(max(hx - a, 0), t)
     # Work arrays are allocated once: fresh ones each row cost more in page
     # faults than the arithmetic does.
     cols = np.zeros((256, hi - lo), dtype=count)
@@ -276,10 +281,7 @@ def _otsu_tile(pixels, a: int, b: int, hx: int, y0, y1, dtypes, ink) -> None:
             continue
         np.take(cols, values, axis=0, out=prefix[:k, 1:], mode="clip")
         np.cumsum(prefix[:k, 1:], axis=1, dtype=count, out=prefix[:k, 1:])
-        hist = sums[0, :k]
-        hist[:, :xu] = prefix[:k, first : first + xu]
-        hist[:, xu:] = prefix[:k, -1:]
-        hist[:, xl:] -= prefix[:k, : t - xl]
+        hist = _window_sums(prefix[:k], a, t, hx, w, sums[0, :k])
         np.multiply(hist, values.astype(count)[:, None], out=sums[1, :k])
         n0, s0 = _prefix_sums(sums, spare, k)
         if scan is np.float64:

@@ -112,8 +112,10 @@ class GroundTruth:
         if self._weights is None:
             g = self.mask.ink
             if g.any():
-                components = _stroke_components(g)
-                self._weights = _recall_weights(g, components), _precision_weights(g, components)
+                dist, *components = _stroke_components(g)
+                recall = _recall_weights(g, dist, *components)
+                del dist  # 8 B/px that the precision weights' own transform does not read
+                self._weights = recall, _precision_weights(g, *components)
             else:
                 self._weights = np.zeros(g.shape), np.ones(g.shape)
         return self._weights
@@ -138,15 +140,13 @@ def _stroke_components(gt_ink: np.ndarray):
     return dist, labels, comp_max
 
 
-def _recall_weights(g: np.ndarray, components) -> np.ndarray:
-    dist, labels, comp_max = components
+def _recall_weights(g: np.ndarray, dist, labels, comp_max) -> np.ndarray:
     weights = np.zeros(g.shape, dtype=np.float64)
     weights[g] = np.clip(dist[g] / comp_max[labels[g]], 0.0, 1.0)
     return weights
 
 
-def _precision_weights(g: np.ndarray, components) -> np.ndarray:
-    _, labels, comp_max = components
+def _precision_weights(g: np.ndarray, labels, comp_max) -> np.ndarray:
     stroke_width = 2.0 * comp_max
     d, (iy, ix) = ndimage.distance_transform_edt(~g, return_indices=True)
     sw = stroke_width[labels[iy, ix]]
@@ -177,7 +177,7 @@ def pseudo_f_measure(pred: BinaryMask, gt: BinaryMask | GroundTruth) -> float:
     correct = pred.ink & g
     p_recall = w_r[correct].sum() / w_r[g].sum()
     p_precision = w_p[correct].sum() / w_p[pred.ink].sum()
-    return 2.0 * p_recall * p_precision / (p_recall + p_precision)
+    return float(2.0 * p_recall * p_precision / (p_recall + p_precision))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from conftest import make_text_patch
 from oracles import naive_otsu_local_mask, naive_window_stats, otsu_exact, rowwise_otsu_local
 
 from scrollbin import classical
-from scrollbin.classical import niblack, otsu_global, otsu_local, sauvola, window_mean_std
+from scrollbin.classical import niblack, otsu_global, otsu_local, sauvola
 from scrollbin.errors import ScrollbinError
 from scrollbin.imagecore import GrayImage
 
@@ -65,27 +65,39 @@ class TestOtsuGlobal:
             assert np.array_equal(mask_inv.ink, ~mask.ink)
 
 
+def naive_niblack(px, window, k=-0.2):
+    mean, std = naive_window_stats(px, window)
+    return px.astype(np.float64) <= mean + k * std
+
+
+def naive_sauvola(px, window, k=0.5, r=128.0):
+    mean, std = naive_window_stats(px, window)
+    return px.astype(np.float64) <= mean * (1.0 + k * (std / r - 1.0))
+
+
 class TestLocalWindowStats:
-    def test_integral_matches_naive(self):
+    """The clamped-window mean and std of Niblack and Sauvola, seen through their masks."""
+
+    def test_masks_match_naive_oracle(self):
         rng = np.random.default_rng(10)
         px = rng.integers(0, 256, (32, 32), dtype=np.uint8)
-        mean, std = window_mean_std(gray(px), 7)
-        nmean, nstd = naive_window_stats(px, 7)
-        assert np.max(np.abs(mean - nmean)) < 1e-6
-        assert np.max(np.abs(std - nstd)) < 1e-6
+        assert np.array_equal(niblack(gray(px), 7).ink, naive_niblack(px, 7))
+        assert np.array_equal(sauvola(gray(px), 7).ink, naive_sauvola(px, 7))
 
     def test_window_validation(self):
         img = gray(np.zeros((8, 8)))
-        with pytest.raises(ScrollbinError):
-            window_mean_std(img, 2)
+        for method in (niblack, sauvola):
+            with pytest.raises(ScrollbinError, match="window must be >= 3"):
+                method(img, 2)
 
     def test_even_window_snaps_to_next_odd(self):
+        # 90x100 is larger than a 71 window, so 70 and 71 clamp at the edges only
         rng = np.random.default_rng(16)
-        img = gray(rng.integers(0, 256, (12, 12)))
-        even_mean, even_std = window_mean_std(img, 70)
-        odd_mean, odd_std = window_mean_std(img, 71)
-        assert np.array_equal(even_mean, odd_mean)
-        assert np.array_equal(even_std, odd_std)
+        img = gray(rng.integers(0, 256, (90, 100)))
+        for method in (niblack, sauvola):
+            for even in (4, 70):
+                assert np.array_equal(method(img, even).ink, method(img, even + 1).ink)
+            assert not np.array_equal(method(img, 69).ink, method(img, 71).ink)
 
 
 class TestNiblack:
@@ -260,12 +272,44 @@ class TestOtsuLocal:
 
 
 def test_interior_pixels_unaffected_by_clamping():
-    # statistics of fully interior windows match the unclamped computation
+    # pixels whose 5x5 window lies inside the image threshold on the
+    # statistics of that whole window
     rng = np.random.default_rng(15)
     px = rng.integers(0, 256, (20, 20), dtype=np.uint8)
-    mean, std = window_mean_std(gray(px), 5)
+    nib, sau = niblack(gray(px), 5).ink, sauvola(gray(px), 5).ink
     for y in range(2, 18):
         for x in range(2, 18):
             win = px[y - 2 : y + 3, x - 2 : x + 3].astype(np.float64)
-            assert abs(mean[y, x] - win.mean()) < 1e-9
-            assert abs(std[y, x] - win.std()) < 1e-9
+            mean = win.mean()
+            std = math.sqrt(max(0.0, (win * win).mean() - mean * mean))
+            assert nib[y, x] == (px[y, x] <= mean - 0.2 * std)
+            assert sau[y, x] == (px[y, x] <= mean * (1.0 + 0.5 * (std / 128.0 - 1.0)))
+
+
+# Tiles of 4 and 7 columns make these <= 20-px images cross tile edges.
+@pytest.mark.parametrize("tile", [4, 7])
+@settings(max_examples=40, deadline=None)
+@given(arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20))), st.integers(3, 41))
+@example(np.arange(0, 240, 7, dtype=np.uint8).reshape(5, 7), 4)
+@example(np.arange(0, 240, 20, dtype=np.uint8).reshape(3, 4), 40)
+def test_niblack_and_sauvola_match_naive_oracle_across_tile_edges(tile, px, window):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "TILE", tile)
+        nib, sau = niblack(gray(px), window).ink, sauvola(gray(px), window).ink
+    assert np.array_equal(nib, naive_niblack(px, window))
+    assert np.array_equal(sau, naive_sauvola(px, window))
+
+
+@pytest.mark.parametrize("window", [3, 71, 301])
+def test_niblack_and_sauvola_memory_per_pixel(window):
+    # The full-page integral images this sweep replaced peaked at 72 B/px.
+    rng = np.random.default_rng(20)
+    img = gray(rng.integers(0, 256, (120, 3608)))
+    for method in (niblack, sauvola):
+        tracemalloc.start()
+        try:
+            method(img, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * img.pixels.size, method.__name__

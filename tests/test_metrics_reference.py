@@ -73,7 +73,7 @@ def drd_whole_map(pred: BinaryMask, gt: BinaryMask) -> float:
 def reference_scores(pred: BinaryMask, gt: BinaryMask) -> ImageScores:
     return ImageScores(
         f=f_measure(confusion(pred, gt)),
-        pf=pseudo_f_per_pair(pred, gt),
+        pf=float(pseudo_f_per_pair(pred, gt)),  # pseudo_f_measure returns a Python float
         psnr=psnr(pred, gt),
         drd=drd_whole_map(pred, gt),
     )
