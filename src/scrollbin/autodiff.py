@@ -305,12 +305,14 @@ def leaky_relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, leak, out=leak if out is None else out)
 
 
-def leaky_relu_bwd(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """grad_out times 1 where x > 0, and times LEAK elsewhere (at exactly 0 too)."""
+def leaky_relu_bwd(out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """grad_out times 1 where out > 0, and times LEAK elsewhere (at exactly 0 too).
+
+    out may be the activation or its input: max(x, LEAK*x) > 0 iff x > 0."""
     # The slopes come back as a temporary, so numpy may write the product into
-    # them and the result then has x's layout, which the reductions and GEMMs
+    # them and the result then has out's layout, which the reductions and GEMMs
     # downstream follow. Naming the slopes first would change that layout.
-    return grad_out * _leaky_slopes(x)
+    return grad_out * _leaky_slopes(out)
 
 
 def _leaky_slopes(x: np.ndarray) -> np.ndarray:

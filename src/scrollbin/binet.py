@@ -53,6 +53,7 @@ from .tiling import reassemble
 
 ENCODER_CHANNELS = (64, 128, 256, 512, 512, 512, 512, 512)
 DECODER_CHANNELS = (512, 512, 512, 512, 256, 128, 64, 1)
+PATCH = 1 << len(ENCODER_CHANNELS)  # the default model's patch side: each encoder stage halves it
 DROPOUT_STAGES = (0, 1, 2)
 INIT_STD = 0.02
 
@@ -82,13 +83,13 @@ def _stage_params(st: EncoderStage | DecoderStage) -> list[Param]:
 class StageTrace:
     """What one stage's forward keeps for its backward.
 
-    z is the pre-activation (after batch norm and dropout) and out the
-    activation of z. bn_cache is None when the stage has no batch norm; keep
-    is None when the stage has no dropout.
+    x is the stage's input and out its activation, computed in place over
+    the pre-activation: both activations' backwards read out alone. bn_cache
+    is None when the stage has no batch norm; keep is None when the stage
+    has no dropout.
     """
 
     x: np.ndarray
-    z: np.ndarray
     out: np.ndarray
     bn_cache: tuple | None
     keep: np.ndarray | None = None
@@ -248,7 +249,7 @@ def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator |
         bn_cache = None
         if st.bn is not None:
             z, bn_cache = batchnorm_fwd(z, st.bn)
-        enc.append(StageTrace(h, z, leaky_relu(z), bn_cache))
+        enc.append(StageTrace(h, leaky_relu(z, out=z), bn_cache))
         h = enc[-1].out
 
     dec: list[StageTrace] = []
@@ -258,12 +259,12 @@ def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator |
         if st.bn is not None:
             z, bn_cache = batchnorm_fwd(z, st.bn)
         if j == n - 1:
-            dec.append(StageTrace(h, z, tanh_act(z), bn_cache))
+            dec.append(StageTrace(h, tanh_act(z), bn_cache))
         else:
             keep = None
             if st.drop:
                 z, keep = dropout(z, rng)
-            dec.append(StageTrace(h, z, leaky_relu(z), bn_cache, keep))
+            dec.append(StageTrace(h, leaky_relu(z, out=z), bn_cache, keep))
             h = concat_channels(dec[-1].out, enc[n - 2 - j].out)
     return dec[-1].out, (enc, dec)
 
@@ -325,7 +326,7 @@ def backward_stages(params: NetParams, cache, grad_out: np.ndarray):
             gz = tanh_bwd(t.out, g)
         else:
             g_act, skip_grads[n - 2 - j] = split_channels(g, st.conv.weight.shape[1])
-            gz = leaky_relu_bwd(t.z, g_act)
+            gz = leaky_relu_bwd(t.out, g_act)
             if t.keep is not None:
                 gz = dropout_bwd(gz, t.keep)
         if st.bn is not None:
@@ -337,7 +338,7 @@ def backward_stages(params: NetParams, cache, grad_out: np.ndarray):
         st, t = params.encoder[i], enc[i]
         if i in skip_grads:
             g = g + skip_grads.pop(i)
-        gz = leaky_relu_bwd(t.z, g)
+        gz = leaky_relu_bwd(t.out, g)
         if st.bn is not None:
             gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
         g = conv2d_bwd(t.x, st.conv, gz)
@@ -358,9 +359,7 @@ def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
 def normalize_input(img: GrayImage | RgbImage) -> np.ndarray:
     """Map 8-bit pixels to float32 in [-1, 1]: v -> v/127.5 - 1. Output (1, C, H, W)."""
     px = img.pixels.astype(np.float32) / np.float32(127.5) - np.float32(1.0)
-    if isinstance(img, GrayImage):
-        return px[None, None, :, :]
-    return px.transpose(2, 0, 1)[None]
+    return px.reshape(img.height, img.width, img.channels).transpose(2, 0, 1)[None]
 
 
 def mask_to_target(mask: BinaryMask) -> np.ndarray:
@@ -382,38 +381,27 @@ def denormalize_output(out: np.ndarray) -> BinaryMask:
 
 def _check_pair(sample, params: NetParams):
     img, mask = sample
-    channels = 1 if isinstance(img, GrayImage) else 3
-    if channels != params.in_channels:
+    if img.channels != params.in_channels:
         raise ScrollbinError(
-            f"dataset image has {channels} channel(s) but the model expects {params.in_channels}"
+            f"dataset image has {img.channels} channel(s) but the model expects {params.in_channels}"
         )
     size = params.patch
     if img.width != size or img.height != size or mask.width != size or mask.height != size:
         raise ScrollbinError(f"training patches must be {size}x{size}")
 
 
-def train(
-    dataset: list,
-    cfg: TrainConfig,
-    init: NetParams | None = None,
-    in_channels: int | None = None,
-) -> tuple[NetParams, list[float]]:
+def train(dataset: list, cfg: TrainConfig, init: NetParams | None = None) -> tuple[NetParams, list[float]]:
     """Adam/L1 training over (image patch, mask patch) pairs.
 
     Runs cfg.epochs passes, each a seeded shuffle consumed in batches of
     cfg.batch_size, one Adam step per batch. Returns the trained params and
     one mean-L1 entry per epoch. Passing init warm-starts from an existing
     model: weights and the lifetime step counter continue, while the Adam
-    moment buffers start fresh.
+    moment buffers start fresh. A fresh model takes the first image's channels.
     """
     if not dataset:
         raise ScrollbinError("training dataset is empty")
-    if init is not None:
-        model = init
-    else:
-        if in_channels is None:
-            in_channels = 1 if isinstance(dataset[0][0], GrayImage) else 3
-        model = build_model(in_channels, cfg.seed)
+    model = init if init is not None else build_model(dataset[0][0].channels, cfg.seed)
 
     for sample in dataset:
         _check_pair(sample, model)
@@ -466,9 +454,8 @@ def binarize_image(params: NetParams, img: GrayImage | RgbImage) -> BinaryMask:
     every core; threads over patches only contend with it, and batching
     patches measured barely faster while multiplying activation memory.
     """
-    channels = 1 if isinstance(img, GrayImage) else 3
-    if channels != params.in_channels:
-        raise ScrollbinError(f"image has {channels} channel(s), model expects {params.in_channels}")
+    if img.channels != params.in_channels:
+        raise ScrollbinError(f"image has {img.channels} channel(s), model expects {params.in_channels}")
     grid = split_patches(img, params.patch)
     masks = [denormalize_output(forward(params, normalize_input(p))) for p in grid.patches]
     return reassemble(grid.with_patches(masks))

@@ -5,16 +5,18 @@ darker pixels are ink: a pixel is ink iff its value is <= the threshold.
 Local window statistics are computed over the window clamped to the image
 bounds, so only real pixels contribute. Windows must be odd so they center
 on the pixel; the conventional 70x70 window snaps to 71. All three local
-methods sweep tiles of TILE columns and read each window's sums from prefix
-sums through one helper, so their memory does not grow with the width.
-Niblack and Sauvola sum the values and their squares as exact int64; local
-Otsu slides one histogram per column down the rows, so its memory is
+methods sweep tiles and read each window's sums from prefix sums through
+one helper. Niblack and Sauvola sum the values and their squares as exact
+int64 over tiles of TILE x TILE pixels, so their memory grows with neither
+the height nor the width; local Otsu sweeps tiles of TILE columns and
+slides one histogram per column down the rows, so its memory is
 O((TILE + window) x 256). A window larger than the image clamps to it: any
 window from 2*max(h, w) + 1 up gives the same mask.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -81,7 +83,8 @@ def _otsu_threshold_exact(hist) -> int | None:
 # ---------------------------------------------------------------------------
 
 TILE = 384
-"""Columns per tile of the local sweeps; a tile's tables hold TILE plus one window of columns.
+"""Columns per tile of the local sweeps (and rows, for Niblack and Sauvola); a
+tile's tables hold TILE plus one window of columns.
 
 Measured for local Otsu on 2 cores: at 256 the 330-wide bench page takes two
 tiles and ran slower; on a 3608-wide page 256, 384 and 512 ran within 5% of
@@ -135,31 +138,31 @@ def _window_sums(prefix, a: int, t: int, half: int, size: int, out):
 def _local_threshold(img: GrayImage, window: int, threshold) -> BinaryMask:
     """Ink iff value <= threshold(mean, std) of the pixel's edge-clamped window.
 
-    Each tile of TILE columns sums its values and their squares down the rows
-    and then across the columns, as exact int64 prefix sums, so memory is
-    O(h x (TILE + window)) whatever the width. The variance is clamped at 0 to
-    absorb the roundoff of the mean-square subtraction.
+    Each TILE x TILE tile sums its values and their squares down the rows and
+    then across the columns, as exact int64 prefix sums, so memory is
+    O((TILE + window)^2) whatever the page size. The variance is clamped at 0
+    to absorb the roundoff of the mean-square subtraction.
     """
     half = _check_window(window)
     h, w = img.pixels.shape
     hy, hx = min(half, h - 1), min(half, w - 1)
     (y0, y1), (x0, x1) = _window_bounds(h, hy), _window_bounds(w, hx)
     ink = np.empty((h, w), dtype=np.bool_)
-    for a in range(0, w, TILE):
-        b = min(a + TILE, w)
-        band = img.pixels[:, max(a - hx, 0) : b + hx]
+    for r, a in itertools.product(range(0, h, TILE), range(0, w, TILE)):
+        s, b = min(r + TILE, h), min(a + TILE, w)
+        band = img.pixels[max(r - hy, 0) : s + hy, max(a - hx, 0) : b + hx]
         # Values in plane 0, squares in plane 1, each with a zero first row and
         # column; rebinding sums frees each table once the next one is built.
-        sums = np.zeros((2, h + 1, band.shape[1] + 1), dtype=np.int64)
+        sums = np.zeros((2, band.shape[0] + 1, band.shape[1] + 1), dtype=np.int64)
         np.cumsum(band, axis=0, dtype=np.int64, out=sums[0, 1:, 1:])
         np.cumsum(np.square(band, dtype=np.int64), axis=0, out=sums[1, 1:, 1:])
-        sums = _window_sums(sums.mT, 0, h, hy, h, np.empty_like(sums[:, 1:]).mT).mT
+        sums = _window_sums(sums.mT, r, s - r, hy, h, np.empty_like(sums[:, : s - r]).mT).mT
         np.cumsum(sums, axis=2, out=sums)
-        total, total_sq = sums = _window_sums(sums, a, b - a, hx, w, np.empty((2, h, b - a), dtype=np.int64))
-        count = (y1 - y0)[:, None] * (x1 - x0)[None, a:b]
+        total, total_sq = sums = _window_sums(sums, a, b - a, hx, w, np.empty((2, s - r, b - a), dtype=np.int64))
+        count = (y1 - y0)[r:s, None] * (x1 - x0)[None, a:b]
         mean = total / count
         var = np.maximum(total_sq / count - mean * mean, 0.0)
-        ink[:, a:b] = img.pixels[:, a:b] <= threshold(mean, np.sqrt(var))
+        ink[r:s, a:b] = img.pixels[r:s, a:b] <= threshold(mean, np.sqrt(var))
     return BinaryMask(ink)
 
 

@@ -39,13 +39,18 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
-def _read_gray(path) -> GrayImage:
+def _read_image(path, channels: int) -> GrayImage | RgbImage:
+    """The page at path as a `channels`-channel image: color becomes gray
+    when 1 channel is asked for. A bitmask, or a gray page where 3 channels
+    are asked for, is a data error."""
     img = read_pnm(path)
-    if isinstance(img, RgbImage):
-        return to_grayscale(img)
-    if isinstance(img, GrayImage):
-        return img
-    raise ScrollbinError(f"{path}: expected a grayscale or color image, got a bitmask")
+    if isinstance(img, RgbImage) and channels == 1:
+        img = to_grayscale(img)
+    if isinstance(img, BinaryMask) or img.channels != channels:
+        need = "a grayscale or color image" if channels == 1 else "a color image"
+        got = "a bitmask" if isinstance(img, BinaryMask) else "a grayscale image"
+        raise ScrollbinError(f"{path}: expected {need}, got {got}")
+    return img
 
 
 def _read_mask(path) -> BinaryMask:
@@ -72,7 +77,10 @@ def _threads(flag: int | None) -> int:
     return flag
 
 
-def _format_metric(value: float) -> str:
+def _score_text(value: float | None) -> str:
+    """A score as printed: n/a when it has no value, inf, or six decimals."""
+    if value is None:
+        return "n/a"
     return "inf" if math.isinf(value) else f"{value:.6f}"
 
 
@@ -82,13 +90,9 @@ def _json_value(value):
     return "inf" if math.isinf(value) else value
 
 
-def _scores_dict(scores: metrics.ImageScores) -> dict:
-    return {
-        "f": _json_value(scores.f),
-        "pf": _json_value(scores.pf),
-        "psnr": _json_value(scores.psnr),
-        "drd": _json_value(scores.drd),
-    }
+def _scores_dict(values: dict) -> dict:
+    """The scores that values maps by name, as JSON values in SCORES order."""
+    return {key: _json_value(values[key]) for key in metrics.SCORES}
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,7 @@ def _cmd_untile(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    img = _read_gray(args.input)
+    img = _read_image(args.input, 1)
     if args.method == "otsu":
         threshold, mask = classical.otsu_global(img)
         _log(f"otsu threshold: {threshold}")
@@ -166,7 +170,7 @@ def _cmd_make_gt(args) -> int:
     return 0
 
 
-def _load_pairs(data_dir: str, mode: str, patch: int):
+def _load_pairs(data_dir: str, channels: int, patch: int):
     """Collect (image patch, mask patch) pairs from <stem>.(pgm|ppm) + <stem>.gt.pbm."""
     root = Path(data_dir)
     if not root.is_dir():
@@ -180,14 +184,7 @@ def _load_pairs(data_dir: str, mode: str, patch: int):
         gt_path = img_path.with_suffix(".gt.pbm")
         if not gt_path.exists():
             raise ScrollbinError(f"{img_path.name}: missing ground truth {gt_path.name}")
-        img = read_pnm(img_path)
-        if isinstance(img, BinaryMask):
-            raise ScrollbinError(f"{img_path.name}: training image cannot be a bitmask")
-        if mode == "gray":
-            if isinstance(img, RgbImage):
-                img = to_grayscale(img)
-        elif isinstance(img, GrayImage):
-            raise ScrollbinError(f"{img_path.name}: mode {mode} needs 3-channel images")
+        img = _read_image(img_path, channels)
         gt = _read_mask(gt_path)
         if (gt.width, gt.height) != (img.width, img.height):
             raise ScrollbinError(f"{img_path.name}: ground truth dimensions differ from image")
@@ -204,8 +201,8 @@ def _cmd_train(args) -> int:
     cfg = binet.TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed, batch_size=args.batch)
 
     init = binet.load_weights(args.init) if args.init else None
-    patch = init.patch if init else 256
-    pairs = _load_pairs(args.data, args.mode, patch)
+    patch = init.patch if init else binet.PATCH
+    pairs = _load_pairs(args.data, 1 if args.mode == "gray" else 3, patch)
 
     holdout_pairs = []
     if args.holdout > 0:
@@ -217,8 +214,7 @@ def _cmd_train(args) -> int:
         holdout_pairs = [pairs[i] for i in order[:n_hold]]
         pairs = [pairs[i] for i in order[n_hold:]]
 
-    in_channels = 1 if args.mode == "gray" else 3
-    model, history = binet.train(pairs, cfg, init=init, in_channels=in_channels)
+    model, history = binet.train(pairs, cfg, init=init)
     for epoch, loss in enumerate(history, start=1):
         _log(f"epoch {epoch}: loss {loss:.6f}")
 
@@ -240,12 +236,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_binarize(args) -> int:
     model = binet.load_weights(args.model)
-    img = read_pnm(args.input)
-    if isinstance(img, BinaryMask):
-        raise ScrollbinError(f"{args.input}: input is already a bitmask")
-    if isinstance(img, RgbImage) and model.in_channels == 1:
-        img = to_grayscale(img)
-    mask = binet.binarize_image(model, img)
+    mask = binet.binarize_image(model, _read_image(args.input, model.in_channels))
     write_pnm(mask, args.out)
     return 0
 
@@ -253,10 +244,10 @@ def _cmd_binarize(args) -> int:
 def _cmd_evaluate(args) -> int:
     scores = metrics.evaluate(_read_mask(args.pred), _read_mask(args.gt))
     if args.json:
-        print(json.dumps(_scores_dict(scores)))
+        print(json.dumps(_scores_dict(vars(scores))))
     else:
-        for key in ("f", "pf", "psnr", "drd"):
-            print(f"{key} {_format_metric(getattr(scores, key))}")
+        for key in metrics.SCORES:
+            print(f"{key} {_score_text(getattr(scores, key))}")
     return 0
 
 
@@ -315,24 +306,16 @@ def _cmd_evaluate_set(args) -> int:
             raise result
 
     report = metrics.aggregate(records)
-    payload = {
-        "images": [
-            {"pred": pred, "gt": gt, **_scores_dict(rec)}
-            for (pred, gt), rec in zip(entries, records)
-        ],
-        "mean": {k: _json_value(report.mean[k]) for k in ("f", "pf", "psnr", "drd")},
-        "std": {k: _json_value(report.std[k]) for k in ("f", "pf", "psnr", "drd")},
-        "psnr_inf_count": report.psnr_inf_count,
-    }
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps({
+            "images": [{"pred": pred, "gt": gt, **_scores_dict(vars(rec))} for (pred, gt), rec in zip(entries, records)],
+            "mean": _scores_dict(report.mean),
+            "std": _scores_dict(report.std),
+            "psnr_inf_count": report.psnr_inf_count,
+        }))
     else:
-        for key in ("f", "pf", "psnr", "drd"):
-            mean = payload["mean"][key]
-            std = payload["std"][key]
-            mean_s = "n/a" if mean is None else (mean if isinstance(mean, str) else f"{mean:.6f}")
-            std_s = "n/a" if std is None else (std if isinstance(std, str) else f"{std:.6f}")
-            print(f"{key} {mean_s} +- {std_s}")
+        for key in metrics.SCORES:
+            print(f"{key} {_score_text(report.mean[key])} +- {_score_text(report.std[key])}")
         print(f"psnr_inf_count {report.psnr_inf_count}")
     return 0
 
@@ -355,7 +338,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tile", help="split an image into fixed-size patches")
     p.add_argument("--input", required=True)
-    p.add_argument("--patch", type=int, default=256)
+    p.add_argument("--patch", type=int, default=binet.PATCH)
     p.add_argument("--pad", choices=tiling.PAD_MODES, default="replicate")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_tile)
@@ -387,10 +370,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a model on <stem>.(pgm|ppm) + <stem>.gt.pbm pairs")
     p.add_argument("--data", required=True)
     p.add_argument("--mode", required=True, choices=("gray", "color", "fused"))
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--batch", type=int, default=1)
+    defaults = binet.TrainConfig()
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
     p.add_argument("--holdout", type=float, default=0.0, help="fraction of patches held out")
     p.add_argument("--out", required=True)
     p.add_argument("--init", default=None, help="warm-start from an existing weights file")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,74 +30,55 @@ from .errors import PnmDecodeError, ScrollbinError
 LUMA_R, LUMA_G, LUMA_B = 0.299, 0.587, 0.114
 
 
+class _Raster:
+    """The checks and size that the image types share. Each type names its one
+    array `array` and sets channels (samples per pixel), _dtype and _needs."""
+
+    def __post_init__(self):
+        a = self.array
+        trailing = (self.channels,) if self.channels > 1 else ()
+        if a.dtype != self._dtype or a.ndim != 2 + len(trailing) or a.shape[2:] != trailing:
+            raise ScrollbinError(f"{type(self).__name__} needs {self._needs} array, got {a.dtype} {a.shape}")
+        if a.shape[0] < 1 or a.shape[1] < 1:
+            raise ScrollbinError(f"{type(self).__name__} must be at least 1x1")
+
+    @property
+    def height(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.array.shape[1]
+
+
 @dataclass(frozen=True)
-class GrayImage:
+class GrayImage(_Raster):
     """8-bit single-channel raster image."""
 
     pixels: np.ndarray
-
-    def __post_init__(self):
-        p = self.pixels
-        if p.ndim != 2 or p.dtype != np.uint8:
-            raise ScrollbinError(f"GrayImage needs a 2-D uint8 array, got {p.dtype} {p.shape}")
-        if p.shape[0] < 1 or p.shape[1] < 1:
-            raise ScrollbinError("GrayImage must be at least 1x1")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
+    array = property(attrgetter("pixels"))
+    channels = 1
+    _dtype, _needs = np.uint8, "a 2-D uint8"
 
 
 @dataclass(frozen=True)
-class RgbImage:
+class RgbImage(_Raster):
     """8-bit three-channel raster image."""
 
     pixels: np.ndarray
-
-    def __post_init__(self):
-        p = self.pixels
-        if p.ndim != 3 or p.shape[2] != 3 or p.dtype != np.uint8:
-            raise ScrollbinError(f"RgbImage needs a (h, w, 3) uint8 array, got {p.dtype} {p.shape}")
-        if p.shape[0] < 1 or p.shape[1] < 1:
-            raise ScrollbinError("RgbImage must be at least 1x1")
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    def channel(self, index: int) -> GrayImage:
-        """Extract channel 0 (R), 1 (G) or 2 (B) as a grayscale image."""
-        return GrayImage(np.ascontiguousarray(self.pixels[:, :, index]))
+    array = property(attrgetter("pixels"))
+    channels = 3
+    _dtype, _needs = np.uint8, "a (h, w, 3) uint8"
 
 
 @dataclass(frozen=True)
-class BinaryMask:
+class BinaryMask(_Raster):
     """Per-pixel ink/background labels. True = ink."""
 
     ink: np.ndarray
-
-    def __post_init__(self):
-        p = self.ink
-        if p.ndim != 2 or p.dtype != np.bool_:
-            raise ScrollbinError(f"BinaryMask needs a 2-D bool array, got {p.dtype} {p.shape}")
-        if p.shape[0] < 1 or p.shape[1] < 1:
-            raise ScrollbinError("BinaryMask must be at least 1x1")
-
-    @property
-    def height(self) -> int:
-        return self.ink.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.ink.shape[1]
+    array = property(attrgetter("ink"))
+    channels = 1
+    _dtype, _needs = np.bool_, "a 2-D bool"
 
 
 Image = GrayImage | RgbImage | BinaryMask
@@ -106,14 +88,14 @@ Image = GrayImage | RgbImage | BinaryMask
 # PNM codec
 # ---------------------------------------------------------------------------
 
-# magic -> (image type, samples per pixel, plain encoding)
+# magic -> (image type, plain encoding)
 _FORMATS = {
-    b"P1": (BinaryMask, 1, True),
-    b"P2": (GrayImage, 1, True),
-    b"P3": (RgbImage, 3, True),
-    b"P4": (BinaryMask, 1, False),
-    b"P5": (GrayImage, 1, False),
-    b"P6": (RgbImage, 3, False),
+    b"P1": (BinaryMask, True),
+    b"P2": (GrayImage, True),
+    b"P3": (RgbImage, True),
+    b"P4": (BinaryMask, False),
+    b"P5": (GrayImage, False),
+    b"P6": (RgbImage, False),
 }
 
 # Whitespace and comments, then one token. A comment must run to its newline
@@ -206,7 +188,7 @@ def read_pnm(path) -> Image:
         raise PnmDecodeError("file too short for a PNM magic number", 0)
     if data[:2] not in _FORMATS:
         raise PnmDecodeError(f"unknown magic {data[:2]!r}", 0)
-    kind, channels, plain = _FORMATS[data[:2]]
+    kind, plain = _FORMATS[data[:2]]
 
     width, pos = _header_int(data, 2, "width")
     height, pos = _header_int(data, pos, "height")
@@ -218,7 +200,7 @@ def read_pnm(path) -> Image:
             raise PnmDecodeError(f"only maxval 255 is supported, got {maxval}", pos)
         pos = end
 
-    count = width * height * channels
+    count = width * height * kind.channels
     if plain:
         flat = (_plain_bits if kind is BinaryMask else _plain_samples)(data, pos, count)
     elif kind is BinaryMask:
@@ -226,7 +208,7 @@ def read_pnm(path) -> Image:
         flat = np.unpackbits(packed, axis=1, count=width)
     else:
         flat = _raw_bytes(data, pos, count).copy()
-    pixels = flat.reshape((height, width, channels) if channels > 1 else (height, width))
+    pixels = flat.reshape((height, width, kind.channels) if kind.channels > 1 else (height, width))
     return BinaryMask(pixels.view(np.bool_)) if kind is BinaryMask else kind(pixels)
 
 
@@ -238,14 +220,14 @@ def write_pnm(image: Image, path, binary_encoding: bool = True) -> None:
     bit-exactly for every image type.
     """
     magic = next(
-        (m for m, (kind, _, plain) in _FORMATS.items() if isinstance(image, kind) and plain != binary_encoding),
+        (m for m, (kind, plain) in _FORMATS.items() if isinstance(image, kind) and plain != binary_encoding),
         None,
     )
     if magic is None:
         raise ScrollbinError(f"cannot encode object of type {type(image).__name__}")
     is_mask = isinstance(image, BinaryMask)
     header = f"{magic.decode()}\n{image.width} {image.height}\n" + ("" if is_mask else "255\n")
-    rows = (image.ink.view(np.uint8) if is_mask else image.pixels).reshape(image.height, -1)
+    rows = image.array.view(np.uint8).reshape(image.height, -1)
     if not binary_encoding:
         payload = _plain_payload(rows)
     elif is_mask:

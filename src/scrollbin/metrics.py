@@ -18,7 +18,7 @@ consistent but not bit-compatible with any external evaluation binary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -45,9 +45,12 @@ class ImageScores:
     drd: float
 
 
+SCORES = tuple(field.name for field in fields(ImageScores))
+"""The score names, in the order every report lists them."""
+
+
 @dataclass(frozen=True)
 class EvalReport:
-    records: list
     mean: dict
     std: dict
     psnr_inf_count: int
@@ -70,17 +73,22 @@ def confusion(pred: BinaryMask, gt: BinaryMask) -> Confusion:
     return Confusion(tp, fp, fn, tn)
 
 
-def f_measure(c: Confusion) -> float:
-    """Harmonic mean of ink precision and recall.
+def _harmonic(c: Confusion, rates) -> float:
+    """Harmonic mean of the (recall, precision) pair that rates() returns.
 
-    Conventions: a prediction with no true positives scores 0 unless there
-    was nothing to find and nothing found (tp = fp = fn = 0), which scores 1.
+    A prediction with no true positives scores 0 unless there was nothing to
+    find and nothing found (tp = fp = fn = 0), which scores 1; rates is then
+    not called.
     """
     if c.tp == 0:
         return 1.0 if c.fp == 0 and c.fn == 0 else 0.0
-    recall = c.tp / (c.tp + c.fn)
-    precision = c.tp / (c.tp + c.fp)
-    return 2.0 * recall * precision / (recall + precision)
+    recall, precision = rates()
+    return float(2.0 * recall * precision / (recall + precision))
+
+
+def f_measure(c: Confusion) -> float:
+    """Harmonic mean of ink precision and recall."""
+    return _harmonic(c, lambda: (c.tp / (c.tp + c.fn), c.tp / (c.tp + c.fp)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +177,14 @@ def precision_weights(gt: BinaryMask | GroundTruth) -> np.ndarray:
 def pseudo_f_measure(pred: BinaryMask, gt: BinaryMask | GroundTruth) -> float:
     """F formula over stroke-weighted recall and contour-band-weighted precision."""
     truth = _prepared(gt)
-    c = confusion(pred, truth.mask)
-    if c.tp == 0:
-        return 1.0 if c.fp == 0 and c.fn == 0 else 0.0
-    w_r, w_p = truth.weights()
-    g = truth.mask.ink
-    correct = pred.ink & g
-    p_recall = w_r[correct].sum() / w_r[g].sum()
-    p_precision = w_p[correct].sum() / w_p[pred.ink].sum()
-    return float(2.0 * p_recall * p_precision / (p_recall + p_precision))
+
+    def rates():
+        w_r, w_p = truth.weights()
+        g = truth.mask.ink
+        correct = pred.ink & g
+        return w_r[correct].sum() / w_r[g].sum(), w_p[correct].sum() / w_p[pred.ink].sum()
+
+    return _harmonic(confusion(pred, truth.mask), rates)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +290,7 @@ def evaluate(pred: BinaryMask, gt: BinaryMask | GroundTruth) -> ImageScores:
 
 def aggregate(records: list) -> EvalReport:
     """Mean and sample standard deviation (n-1; a single record gets std 0)
-    per metric, in the fixed order f, pf, psnr, drd. Infinite PSNR values are
+    per metric, in the order of SCORES. Infinite PSNR values are
     left out of the aggregates and reported via psnr_inf_count. Any other
     metric with an infinite value (a DRD over a ground truth with no
     non-uniform block) gets mean inf and std None, since its spread has no
@@ -302,10 +309,10 @@ def aggregate(records: list) -> EvalReport:
 
     mean: dict = {}
     std: dict = {}
-    for key in ("f", "pf", "psnr", "drd"):
+    for key in SCORES:
         values = [getattr(r, key) for r in records]
         if key == "psnr":
             values = [v for v in values if math.isfinite(v)]
         mean[key], std[key] = stats(values)
     inf_count = sum(1 for r in records if math.isinf(r.psnr))
-    return EvalReport(list(records), mean, std, inf_count)
+    return EvalReport(mean, std, inf_count)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScrollbinError
-from .imagecore import BinaryMask, GrayImage, Image, RgbImage
+from .imagecore import Image
 
 PAD_MODES = ("replicate", "zero", "white")
 
@@ -60,19 +60,10 @@ def _pad_array(arr: np.ndarray, pad_h: int, pad_w: int, mode: str) -> np.ndarray
     raise ScrollbinError(f"unknown pad mode {mode!r}; expected one of {PAD_MODES}")
 
 
-def _wrap_like(template: Image, arr: np.ndarray) -> Image:
-    if isinstance(template, GrayImage):
-        return GrayImage(arr)
-    if isinstance(template, RgbImage):
-        return RgbImage(arr)
-    return BinaryMask(arr)
-
-
 def split(img: Image, patch_size: int = 256, pad_mode: str = "replicate") -> PatchGrid:
     """Tile an image into a PatchGrid of patch_size squares."""
     if patch_size < 1:
         raise ScrollbinError(f"patch_size must be >= 1, got {patch_size}")
-    arr = img.ink if isinstance(img, BinaryMask) else img.pixels
     rows = -(-img.height // patch_size)
     cols = -(-img.width // patch_size)
     padding = rows * cols * patch_size**2 - img.height * img.width
@@ -81,12 +72,12 @@ def split(img: Image, patch_size: int = 256, pad_mode: str = "replicate") -> Pat
             f"patch_size {patch_size} would pad the {img.width}x{img.height} image by "
             f"{padding} pixels, more than the {MAX_PAD_PIXELS} allowed"
         )
-    padded = _pad_array(arr, rows * patch_size - img.height, cols * patch_size - img.width, pad_mode)
+    padded = _pad_array(img.array, rows * patch_size - img.height, cols * patch_size - img.width, pad_mode)
     patches = []
     for r in range(rows):
         for c in range(cols):
             tile = padded[r * patch_size : (r + 1) * patch_size, c * patch_size : (c + 1) * patch_size]
-            patches.append(_wrap_like(img, np.ascontiguousarray(tile)))
+            patches.append(type(img)(np.ascontiguousarray(tile)))
     return PatchGrid(patch_size, rows, cols, img.width, img.height, patches)
 
 
@@ -111,13 +102,9 @@ def reassemble(grid: PatchGrid) -> Image:
         if patch.width != p or patch.height != p or type(patch) is not type(first):
             raise ScrollbinError("inconsistent patch shape or type in grid")
 
-    sample = first.ink if isinstance(first, BinaryMask) else first.pixels
-    out_shape = (grid.rows * p, grid.cols * p) + sample.shape[2:]
-    canvas = np.empty(out_shape, dtype=sample.dtype)
+    out_shape = (grid.rows * p, grid.cols * p) + first.array.shape[2:]
+    canvas = np.empty(out_shape, dtype=first.array.dtype)
     for r in range(grid.rows):
         for c in range(grid.cols):
-            patch = grid.patch_at(r, c)
-            arr = patch.ink if isinstance(patch, BinaryMask) else patch.pixels
-            canvas[r * p : (r + 1) * p, c * p : (c + 1) * p] = arr
-    cropped = np.ascontiguousarray(canvas[: grid.orig_height, : grid.orig_width])
-    return _wrap_like(first, cropped)
+            canvas[r * p : (r + 1) * p, c * p : (c + 1) * p] = grid.patch_at(r, c).array
+    return type(first)(np.ascontiguousarray(canvas[: grid.orig_height, : grid.orig_width]))

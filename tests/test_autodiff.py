@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
     expr_batchnorm_bwd,
@@ -299,6 +300,26 @@ class TestActivations:
 
         gx = leaky_relu_bwd(x, 2.0 * (leaky_relu(x) - target))
         assert max_rel_err(gx, fd_gradient(loss, x)) < GRAD_TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([np.float32, np.float64]).flatmap(
+            lambda dtype: arrays(
+                dtype, st.tuples(st.just(2), st.integers(1, 40)), elements=st.floats(width=np.finfo(dtype).bits)
+            )
+        )
+    )
+    @example(np.array([[0.0, -0.0, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -np.inf, np.inf],
+                       [1.0, -1.0, 3.0, np.nan, 2.0, -0.0, 7.0, 1.5, np.inf]]))
+    @example(np.array([[0.0, -0.0, np.nan, 1e-45, -1e-45, 1.2e-38], [1.0, 2.0, 3.0, 4.0, -5.0, np.nan]], np.float32))
+    def test_backward_reads_the_activation_as_its_input(self, zg):
+        # The training forward keeps only the activation, computed in place
+        # over its input, so its backward must give the input's bytes.
+        z, g = zg
+        with np.errstate(all="ignore"):
+            from_out = leaky_relu_bwd(leaky_relu(z), g)
+            from_z = leaky_relu_bwd(z, g)
+        assert from_out.dtype == from_z.dtype and from_out.tobytes() == from_z.tobytes()
 
     def test_tanh_values(self):
         assert tanh_act(np.array([0.0]))[0] == 0.0

@@ -230,7 +230,7 @@ class TestEndToEndGradients:
         # them by much more than the probe step
         eps = 1e-5
         enc, dec = cache
-        min_kink = min(float(np.min(np.abs(t.z))) for t in enc + dec[:-1])
+        min_kink = min(float(np.min(np.abs(t.out))) for t in enc + dec[:-1])
         assert min_kink > 50 * eps
         assert np.min(np.abs(out - target)) > 50 * eps
 
@@ -424,6 +424,19 @@ class TestTrainPerStage:
             tracemalloc.stop()
         assert len(peaks) == 17
         assert max(peaks[1:]) - peaks[0] < 64 << 20
+
+    def test_full_model_training_forward_holds_only_what_backward_reads(self):
+        # Keeping each stage's pre-activation beside its activation held 57.9 MiB.
+        model = build_model(1, 8)
+        x = np.random.default_rng(9).uniform(-1, 1, (1, 1, 256, 256)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            kept = binet._forward_cached(model, x, np.random.default_rng(10))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del kept
+        assert held <= 46 << 20
 
 
 class TestBinarizeImage:

@@ -380,6 +380,75 @@ class TestImageCommands:
         assert mask.ink[2, 3] and mask.ink[5, 5]
 
 
+@pytest.fixture
+def tiny_color_weights(tmp_path):
+    model = binet.build_model(
+        3, 6, encoder_channels=(8, 4, 2, 1), decoder_channels=(2, 4, 8, 1), dropout_stages=()
+    )
+    path = tmp_path / "tiny3.bnet"
+    binet.save_weights(model, path)
+    return str(path)
+
+
+def one_error_line(capsys, path) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0], err
+    return err[0]
+
+
+class TestInputReader:
+    """baseline, binarize and train read their pages through one reader."""
+
+    def test_bitmask_rejected_by_every_reader(self, tmp_path, capsys, tiny_weights):
+        mask = write_mask(tmp_path / "ink.pbm", np.eye(16, dtype=bool))
+        assert main(["baseline", "--method", "otsu", "--input", mask, "--out", str(tmp_path / "o.pbm")]) == 2
+        first = one_error_line(capsys, mask)
+        assert main(["binarize", "--model", tiny_weights, "--input", mask, "--out", str(tmp_path / "o.pbm")]) == 2
+        assert one_error_line(capsys, mask) == first
+        data = tmp_path / "data"
+        data.mkdir()
+        page = write_mask(data / "a.pgm", np.eye(16, dtype=bool))  # a bitmask under a page's name
+        write_mask(data / "a.gt.pbm", np.eye(16, dtype=bool))
+        argv = ["train", "--data", str(data), "--mode", "gray", "--epochs", "1", "--out", str(tmp_path / "m.bnet")]
+        assert main(argv) == 2
+        assert "bitmask" in one_error_line(capsys, page)
+        assert not (tmp_path / "o.pbm").exists() and not (tmp_path / "m.bnet").exists()
+
+    def test_gray_page_rejected_where_color_is_needed(self, tmp_path, capsys, tiny_color_weights):
+        page = write_gray(tmp_path / "page.pgm", np.zeros((16, 16)))
+        out = tmp_path / "o.pbm"
+        assert main(["binarize", "--model", tiny_color_weights, "--input", page, "--out", str(out)]) == 2
+        first = one_error_line(capsys, page)
+        data = tmp_path / "data"
+        data.mkdir()
+        page = write_gray(data / "a.pgm", np.zeros((16, 16)))
+        write_mask(data / "a.gt.pbm", np.zeros((16, 16)))
+        argv = ["train", "--data", str(data), "--mode", "color", "--epochs", "1", "--out", str(tmp_path / "m.bnet")]
+        assert main(argv) == 2
+        assert one_error_line(capsys, page).split(": ", 2)[2] == first.split(": ", 2)[2]
+        assert not out.exists() and not (tmp_path / "m.bnet").exists()
+
+    @pytest.mark.parametrize("suffix, mode, channels", [("pgm", "gray", 1), ("ppm", "color", 3), ("ppm", "gray", 1)])
+    def test_fresh_model_takes_its_channels_from_the_data(self, tmp_path, monkeypatch, suffix, mode, channels):
+        # A 4-stage model takes 16x16 patches; the full one would build 54M weights.
+        built, real_build = [], binet.build_model
+
+        def tiny_build(in_channels, seed):
+            built.append(in_channels)
+            return real_build(in_channels, seed, encoder_channels=(8, 4, 2, 1), decoder_channels=(2, 4, 8, 1))
+
+        monkeypatch.setattr(binet, "build_model", tiny_build)
+        monkeypatch.setattr(binet, "PATCH", 16)
+        rng = np.random.default_rng(13)
+        pixels = rng.integers(0, 256, (16, 16) if suffix == "pgm" else (16, 16, 3), dtype=np.uint8)
+        write_pnm(GrayImage(pixels) if suffix == "pgm" else RgbImage(pixels), tmp_path / f"a.{suffix}")
+        write_mask(tmp_path / "a.gt.pbm", rng.random((16, 16)) < 0.3)
+        out = tmp_path / "m.bnet"
+        assert main(["train", "--data", str(tmp_path), "--mode", mode, "--epochs", "1", "--out", str(out)]) == 0
+        assert built == [channels]
+        assert binet.load_weights(out).in_channels == channels
+
+
 class TestModelCommands:
     def test_binarize_with_gray_model(self, tmp_path, tiny_weights):
         rng = np.random.default_rng(8)

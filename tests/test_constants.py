@@ -1,14 +1,15 @@
 """Constants that bench/reference.py must repeat, checked against the package.
 
 The float64 reference forward may not import scrollbin, and the `.bnet` file
-does not store the LeakyReLU slope or the batch-norm eps, so the reference
-writes them down a second time. This test keeps the two copies equal.
+does not store the LeakyReLU slope, the batch-norm eps or the patch size, so
+the reference writes them down a second time. This test keeps the two copies
+equal.
 """
 
 import importlib.util
 from pathlib import Path
 
-from scrollbin import autodiff
+from scrollbin import autodiff, binet
 from scrollbin.autodiff import BatchNormParams
 
 
@@ -24,3 +25,4 @@ def test_reference_constants_match_the_package():
     reference = _load_reference()
     assert reference.LEAK == autodiff.LEAK
     assert reference.BN_EPS == BatchNormParams.eps
+    assert reference.PATCH == binet.PATCH

@@ -31,7 +31,7 @@ def test_channel_projection_recovers_inputs():
     bands = [gray(rng.integers(0, 256, (7, 4))) for _ in range(3)]
     fused = fuse_bands(*bands)
     for c in range(3):
-        assert np.array_equal(fused.channel(c).pixels, bands[c].pixels)
+        assert np.array_equal(fused.pixels[:, :, c], bands[c].pixels)
 
 
 def test_mismatch_names_offending_band():
