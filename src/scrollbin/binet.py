@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    CHUNK,
     AdamState,
     BatchNormParams,
     ConvParams,
@@ -488,7 +489,8 @@ def load_weights(path) -> NetParams:
 
     Every size is checked against the file's length before anything is
     read or allocated, so a header cannot ask for more memory than the file
-    holds. That needs a length, so a pipe or other stream is refused.
+    holds. That needs a length, so a pipe or other stream is refused. Each
+    tensor's values are checked finite as they are read.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
@@ -536,8 +538,14 @@ def load_weights(path) -> NetParams:
             need(4 * elems)
             # Read into a fresh array rather than view a file buffer: such a
             # view can be misaligned, and BLAS then falls back to a slow loop.
+            # Each CHUNK-element slice is checked while it is still in cache.
             arr = np.empty(dims, dtype="<f4")
-            fh.readinto(arr)
+            flat = arr.reshape(-1)
+            for lo in range(0, elems, CHUNK):
+                part = flat[lo : lo + CHUNK]
+                fh.readinto(part)
+                if not all_finite(part):
+                    raise WeightsFormatError(f"tensor {name!r} has non-finite values")
             tensors[name] = arr
         if fh.tell() != size:
             raise WeightsFormatError(f"{size - fh.tell()} trailing bytes after last tensor")
@@ -557,12 +565,9 @@ def _stage_count(tensors: dict, prefix: str) -> int:
 def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> NetParams:
     def grab(name: str) -> np.ndarray:
         try:
-            arr = tensors[name]
+            return tensors[name]
         except KeyError:
             raise WeightsFormatError(f"missing tensor {name!r}") from None
-        if not all_finite(arr):
-            raise WeightsFormatError(f"tensor {name!r} has non-finite values")
-        return arr
 
     def vector(name: str, length: int) -> np.ndarray:
         arr = grab(name)

@@ -183,11 +183,13 @@ def _load_pairs(data_dir: str, channels: int, patch: int):
     for img_path in stems:
         gt_path = img_path.with_suffix(".gt.pbm")
         if not gt_path.exists():
-            raise ScrollbinError(f"{img_path.name}: missing ground truth {gt_path.name}")
+            raise ScrollbinError(f"{img_path}: missing ground truth {gt_path}")
         img = _read_image(img_path, channels)
         gt = _read_mask(gt_path)
         if (gt.width, gt.height) != (img.width, img.height):
-            raise ScrollbinError(f"{img_path.name}: ground truth dimensions differ from image")
+            raise ScrollbinError(
+                f"{gt_path}: ground truth is {gt.width}x{gt.height}, image {img_path} is {img.width}x{img.height}"
+            )
         img_grid = tiling.split(img, patch)
         gt_grid = tiling.split(gt, patch)
         pairs.extend(zip(img_grid.patches, gt_grid.patches))
@@ -200,9 +202,14 @@ def _cmd_train(args) -> int:
         raise ScrollbinError(f"--holdout must be in [0, 1), got {args.holdout}")
     cfg = binet.TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed, batch_size=args.batch)
 
+    channels = 1 if args.mode == "gray" else 3
     init = binet.load_weights(args.init) if args.init else None
+    if init and init.in_channels != channels:
+        raise ScrollbinError(
+            f"{args.init}: model takes {init.in_channels} channel(s), --mode {args.mode} gives {channels}"
+        )
     patch = init.patch if init else binet.PATCH
-    pairs = _load_pairs(args.data, 1 if args.mode == "gray" else 3, patch)
+    pairs = _load_pairs(args.data, channels, patch)
 
     holdout_pairs = []
     if args.holdout > 0:

@@ -13,6 +13,11 @@ ground-truth ink pixel by its distance-to-background relative to the deepest
 point of its stroke component, and precision weights form a [1, 2] band that
 decays over one stroke width away from the ink. Values are internally
 consistent but not bit-compatible with any external evaluation binary.
+
+scipy.ndimage is imported inside the two functions that build the weights,
+_stroke_components and _precision_weights, not at module level: only scoring
+reads it, and importing it would triple the start-up time of every other
+command.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionMismatchError, ScrollbinError
 from .imagecore import BinaryMask
@@ -141,6 +145,8 @@ def _prepared(gt: BinaryMask | GroundTruth) -> GroundTruth:
 def _stroke_components(gt_ink: np.ndarray):
     """Distance to background, 8-connected labels, and each label's deepest
     distance (index 0, the background, is 0)."""
+    from scipy import ndimage
+
     dist = ndimage.distance_transform_edt(gt_ink)
     labels, count = ndimage.label(gt_ink, structure=_EIGHT_CONNECTED)
     comp_max = np.zeros(count + 1)
@@ -155,6 +161,8 @@ def _recall_weights(g: np.ndarray, dist, labels, comp_max) -> np.ndarray:
 
 
 def _precision_weights(g: np.ndarray, labels, comp_max) -> np.ndarray:
+    from scipy import ndimage
+
     stroke_width = 2.0 * comp_max
     d, (iy, ix) = ndimage.distance_transform_edt(~g, return_indices=True)
     sw = stroke_width[labels[iy, ix]]

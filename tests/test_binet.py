@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, max_rel_err, naive_binet_eval
 
 from scrollbin import binet
-from scrollbin.autodiff import AdamState, ConvParams, Param, adam_step, l1_loss
+from scrollbin.autodiff import CHUNK, AdamState, ConvParams, Param, adam_step, l1_loss
 from scrollbin.binet import (
     ENCODER_CHANNELS,
     NetParams,
@@ -615,11 +615,42 @@ class TestWeightsFormat:
             load_weights(path)
 
     def test_non_finite_weight_rejected(self, tmp_path):
+        # enc3's and dec1's weights hold 1100 * 8 * 16 = 140800 values, 2 CHUNKs and a part.
+        cases = [
+            ("enc1.conv.weight", slice(None), np.nan),
+            ("enc3.conv.weight", -1, np.nan),  # in the partial last of its 3 chunks
+            ("dec1.conv.weight", 2 * CHUNK, -np.inf),  # the first value of its last chunk
+            ("enc2.conv.bias", 0, np.inf),
+            ("enc2.bn.running_var", -1, np.nan),
+        ]
+        path = tmp_path / "m.bnet"
+        for name, index, value in cases:
+            m = build_model(1, 3, encoder_channels=(4, 8, 1100), decoder_channels=(8, 4, 1))
+            dict(m.named_tensors())[name].reshape(-1)[index] = value
+            save_weights(m, path)
+            with pytest.raises(WeightsFormatError) as err:
+                load_weights(path)
+            assert str(err.value) == f"tensor {name!r} has non-finite values"
+
+    def test_non_finite_value_reported_as_it_is_read(self, tmp_path):
         m = tiny_model()
-        m.encoder[0].conv.weight.data[:] = np.nan
+        m.decoder[-1].conv.bias.data[:] = np.nan  # the last tensor in the file
         path = tmp_path / "m.bnet"
         save_weights(m, path)
-        with pytest.raises(WeightsFormatError, match="enc1.conv.weight"):
+        path.write_bytes(path.read_bytes() + b"extra")
+        with pytest.raises(WeightsFormatError, match="'dec4.conv.bias' has non-finite"):
+            load_weights(path)
+
+        # A tensor that no stage reads is checked too.
+        save_weights(tiny_model(), path)
+        data = bytearray(path.read_bytes())
+        (count,) = struct.unpack_from("<I", data, 20)
+        struct.pack_into("<I", data, 20, count + 1)
+        name = b"spare"
+        data += struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, 2)
+        data += np.array([0.0, np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(WeightsFormatError, match="'spare' has non-finite"):
             load_weights(path)
 
     def test_negative_running_var_rejected(self, tmp_path):

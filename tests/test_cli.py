@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +451,81 @@ class TestInputReader:
         assert main(["train", "--data", str(tmp_path), "--mode", mode, "--epochs", "1", "--out", str(out)]) == 0
         assert built == [channels]
         assert binet.load_weights(out).in_channels == channels
+
+
+class TestTrainErrors:
+    """Each train data error exits 2 with one line naming the file at fault, and writes no model."""
+
+    @pytest.mark.parametrize("mode, weights", [("gray", "tiny_color_weights"), ("color", "tiny_weights")])
+    def test_mode_checked_against_init_before_reading_pages(self, tmp_path, capsys, request, mode, weights):
+        init = request.getfixturevalue(weights)
+        out = tmp_path / "m.bnet"
+        argv = ["train", "--data", str(tmp_path / "no-such-dir"), "--mode", mode, "--init", init,
+                "--epochs", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"--mode {mode}" in one_error_line(capsys, init)
+        assert not out.exists()
+
+    def test_missing_ground_truth_names_full_paths(self, tmp_path, capsys):
+        page = write_gray(tmp_path / "a.pgm", np.zeros((16, 16)))
+        out = tmp_path / "m.bnet"
+        assert main(["train", "--data", str(tmp_path), "--mode", "gray", "--epochs", "1", "--out", str(out)]) == 2
+        assert str(tmp_path / "a.gt.pbm") in one_error_line(capsys, page)
+        assert not out.exists()
+
+    def test_ground_truth_size_mismatch_names_full_paths(self, tmp_path, capsys):
+        page = write_gray(tmp_path / "a.pgm", np.zeros((16, 16)))
+        gt = write_mask(tmp_path / "a.gt.pbm", np.zeros((16, 20)))
+        out = tmp_path / "m.bnet"
+        assert main(["train", "--data", str(tmp_path), "--mode", "gray", "--epochs", "1", "--out", str(out)]) == 2
+        line = one_error_line(capsys, page)
+        assert gt in line and "20x16" in line
+        assert not out.exists()
+
+
+STARTUP_SCRIPT = """
+import json, sys
+
+import scrollbin.cli
+
+loaded = {"import": "scipy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    code = scrollbin.cli.main(argv)
+    loaded[argv[0]] = "scipy" in sys.modules if code == 0 else f"exit {code}"
+print(json.dumps(loaded))
+"""
+
+
+def test_only_scoring_loads_scipy(tmp_path, tiny_weights, capsys):
+    """A fresh interpreter runs every non-scoring command without importing
+    scipy; evaluate then loads it and prints what an in-process call prints."""
+    rng = np.random.default_rng(15)
+    page = write_gray(tmp_path / "page.pgm", rng.integers(0, 256, (20, 30)))
+    gt = write_mask(tmp_path / "gt.pbm", stroke_ink(rng, 20, 30, 4))
+    data = tmp_path / "data"
+    data.mkdir()
+    write_gray(data / "a.pgm", rng.integers(0, 256, (16, 16)))
+    write_mask(data / "a.gt.pbm", rng.random((16, 16)) < 0.3)
+    pred = str(tmp_path / "pred.pbm")
+    runs = [
+        ["binarize", "--model", tiny_weights, "--input", page, "--out", pred],
+        ["baseline", "--method", "sauvola", "--input", page, "--out", str(tmp_path / "s.pbm")],
+        ["tile", "--input", page, "--patch", "16", "--outdir", str(tmp_path / "tiles")],
+        ["train", "--data", str(data), "--mode", "gray", "--init", tiny_weights, "--epochs", "1",
+         "--out", str(tmp_path / "m.bnet")],
+        ["evaluate", "--pred", pred, "--gt", gt, "--json"],
+    ]
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *scores, report = proc.stdout.splitlines()
+    assert json.loads(report) == {
+        "import": False, "binarize": False, "baseline": False, "tile": False, "train": False, "evaluate": True,
+    }
+    assert main(runs[-1]) == 0
+    assert scores == capsys.readouterr().out.splitlines()
 
 
 class TestModelCommands:
