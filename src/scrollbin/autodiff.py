@@ -19,7 +19,7 @@ float64 while training runs in float32.
 batchnorm_fwd and dropout are the training forms only: inference uses
 batchnorm_eval_affine and skips dropout. The pix2pix settings are constants
 written once: the LeakyReLU slope LEAK, DROPOUT_RATE, batch norm's momentum
-and eps on BatchNormParams, and Adam's betas as adam_step's defaults.
+and eps on BatchNormParams, and Adam's ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ PAD = 1
 CHUNK = 1 << 16
 LEAK = 0.2  # LeakyReLU slope for negative inputs
 DROPOUT_RATE = 0.5
+ADAM_BETA1 = 0.5  # decay of Adam's first moment
+ADAM_BETA2 = 0.999  # decay of Adam's second moment
+ADAM_EPS = 1e-8
 
 
 class Param:
@@ -402,18 +405,12 @@ class AdamState:
         return self._scratch[dtype]
 
 
-def adam_step(
-    params: list[Param],
-    state: AdamState,
-    lr: float = 2e-4,
-    beta1: float = 0.5,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: list[Param], state: AdamState, lr: float = 2e-4) -> None:
     """One bias-corrected Adam update of params, consuming their grads.
 
-    m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;
-    theta <- theta - lr * mhat / (sqrt(vhat) + eps)
+    m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2, with b1 = ADAM_BETA1 and
+    b2 = ADAM_BETA2;
+    theta <- theta - lr * mhat / (sqrt(vhat) + ADAM_EPS)
     with mhat = m/(1-b1^t), vhat = v/(1-b2^t), where t is the param's own
     step count. params may be any subset of the state's, so a caller can
     update each part of a model as soon as its grads are ready. The update
@@ -439,23 +436,23 @@ def adam_step(
         slots.append(k)
     for p, k in zip(params, slots):
         state.steps[k] += 1
-        c1 = 1.0 - beta1 ** state.steps[k]
-        c2 = 1.0 - beta2 ** state.steps[k]
+        c1 = 1.0 - ADAM_BETA1 ** state.steps[k]
+        c2 = 1.0 - ADAM_BETA2 ** state.steps[k]
         flat = [a.reshape(-1) for a in (p.data, p.grad, state.m[k], state.v[k])]
         scratch = state.scratch_for(p.data.dtype)
         for lo in range(0, p.data.size, CHUNK):
             data, g, m, v = (a[lo : lo + CHUNK] for a in flat)
             s = scratch[: data.size]
-            m *= beta1
-            np.multiply(g, 1.0 - beta1, out=s)
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             m += s
-            v *= beta2
+            v *= ADAM_BETA2
             np.multiply(g, g, out=s)
-            s *= 1.0 - beta2
+            s *= 1.0 - ADAM_BETA2
             v += s
             np.divide(v, c2, out=s)
             np.sqrt(s, out=s)
-            s += eps
+            s += ADAM_EPS
             np.divide(m, s, out=s)
             s *= lr / c1
             data -= s

@@ -18,12 +18,14 @@ import math
 import os
 import stat
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (
     CHUNK,
+    KERNEL,
     AdamState,
     BatchNormParams,
     ConvParams,
@@ -64,19 +66,13 @@ _MAX_TENSOR_ELEMS = 1 << 28
 
 
 @dataclass
-class EncoderStage:
-    conv: ConvParams
+class Stage:
+    conv: ConvParams  # a decoder stage's weight is the adjoint (stage input ch, stage output ch, 4, 4)
     bn: BatchNormParams | None
+    drop: bool = False
 
 
-@dataclass
-class DecoderStage:
-    conv: ConvParams  # adjoint layout: weight (stage input ch, stage output ch, 4, 4)
-    bn: BatchNormParams | None
-    drop: bool
-
-
-def _stage_params(st: EncoderStage | DecoderStage) -> list[Param]:
+def _stage_params(st: Stage) -> list[Param]:
     return st.conv.params() + (st.bn.params() if st.bn is not None else [])
 
 
@@ -104,8 +100,8 @@ class NetParams:
     """
 
     in_channels: int
-    encoder: list[EncoderStage]
-    decoder: list[DecoderStage]
+    encoder: list[Stage]
+    decoder: list[Stage]
     step: int = 0
 
     @property
@@ -153,9 +149,48 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def _dropout_flags(n: int, stages: tuple[int, ...] = DROPOUT_STAGES) -> list[bool]:
-    """Dropout flag per decoder stage: the listed stages, never the output stage."""
-    return [j in stages and j < n - 1 for j in range(n)]
+def _assemble(
+    in_channels: int,
+    encoder_channels: tuple[int, ...],
+    decoder_channels: tuple[int, ...],
+    take: Callable[[str, tuple[int, ...]], np.ndarray],
+    has_bn: Callable[[str], bool],
+    drops: tuple[int, ...],
+) -> NetParams:
+    """The model the channel ladders give, each tensor from take(name, shape) in named_tensors order.
+
+    The one statement of the wiring: enc1 takes the image, encoder stage i
+    stage i-1's output, dec1 the innermost encoder output, and decoder stage
+    j > 1 stage j-1's output joined by its mirror encoder stage's. has_bn(stage
+    name) places batch norm; drops lists the decoder stages with dropout,
+    which the output stage never has.
+    """
+    if in_channels not in (1, 3):
+        raise ScrollbinError(f"in_channels must be 1 or 3, got {in_channels}")
+    n = len(encoder_channels)
+    if len(decoder_channels) != n:
+        raise ScrollbinError(f"stage count mismatch: {n} encoder vs {len(decoder_channels)} decoder")
+    if decoder_channels[-1] != 1:
+        raise ScrollbinError(f"tensor 'dec{n}.conv.weight' emits {decoder_channels[-1]} channels, expected 1")
+
+    def stage(name: str, weight_shape: tuple[int, ...], ch: int, drop: bool = False) -> Stage:
+        out = (ch,)
+        conv = ConvParams(take(f"{name}.conv.weight", weight_shape), take(f"{name}.conv.bias", out))
+        bn = None
+        if has_bn(name):
+            bn = BatchNormParams(take(f"{name}.bn.gamma", out), take(f"{name}.bn.beta", out))
+            bn.running_mean = take(f"{name}.bn.running_mean", out)
+            bn.running_var = take(f"{name}.bn.running_var", out)
+        return Stage(conv, bn, drop)
+
+    encoder, decoder, given = [], [], in_channels
+    for i, ch in enumerate(encoder_channels, start=1):
+        encoder.append(stage(f"enc{i}", (ch, given, KERNEL, KERNEL), ch))
+        given = ch
+    for j, ch in enumerate(decoder_channels, start=1):
+        decoder.append(stage(f"dec{j}", (given, ch, KERNEL, KERNEL), ch, j - 1 in drops and j < n))
+        given = ch + (encoder_channels[n - 1 - j] if j < n else 0)
+    return NetParams(in_channels, encoder, decoder)
 
 
 def build_model(
@@ -173,47 +208,24 @@ def build_model(
     first encoder stage and the final decoder stage carry no batch norm; the
     innermost encoder stage skips it too, because its 1x1 output cannot be
     normalized at batch size 1.
-    """
-    if in_channels not in (1, 3):
-        raise ScrollbinError(f"in_channels must be 1 or 3, got {in_channels}")
-    if len(encoder_channels) != len(decoder_channels):
-        raise ScrollbinError("encoder and decoder must have the same stage count")
-    n = len(encoder_channels)
-    if decoder_channels[-1] != 1:
-        raise ScrollbinError("final decoder stage must emit 1 channel")
 
+    dropout_stages lives only in the built model: a .bnet file does not
+    store dropout placement, so a saved and loaded model has dropout on
+    DROPOUT_STAGES whatever dropout_stages built it.
+    """
     rng = np.random.default_rng(seed)
 
-    def conv_init(shape_out: int, shape_in: int) -> ConvParams:
-        w = rng.normal(0.0, INIT_STD, (shape_out, shape_in, 4, 4)).astype(dtype)
-        return ConvParams(w, np.zeros(shape_out, dtype=dtype))
+    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name.endswith(".weight"):
+            return rng.normal(0.0, INIT_STD, shape).astype(dtype)
+        if name.endswith(".gamma"):
+            return rng.normal(1.0, INIT_STD, shape).astype(dtype)
+        return (np.ones if name.endswith(".running_var") else np.zeros)(shape, dtype=dtype)
 
-    def deconv_init(shape_in: int, shape_out: int) -> ConvParams:
-        w = rng.normal(0.0, INIT_STD, (shape_in, shape_out, 4, 4)).astype(dtype)
-        return ConvParams(w, np.zeros(shape_out, dtype=dtype))
-
-    def bn_init(channels: int) -> BatchNormParams:
-        gamma = rng.normal(1.0, INIT_STD, channels).astype(dtype)
-        return BatchNormParams(gamma, np.zeros(channels, dtype=dtype))
-
-    encoder = []
-    prev = in_channels
-    for i, ch in enumerate(encoder_channels):
-        conv = conv_init(ch, prev)
-        use_bn = 0 < i < n - 1
-        encoder.append(EncoderStage(conv, bn_init(ch) if use_bn else None))
-        prev = ch
-
-    decoder = []
-    prev = encoder_channels[-1]
-    for j, (ch, drop) in enumerate(zip(decoder_channels, _dropout_flags(n, dropout_stages))):
-        conv = deconv_init(prev, ch)
-        is_last = j == n - 1
-        decoder.append(DecoderStage(conv, None if is_last else bn_init(ch), drop))
-        # the next stage consumes this output concatenated with the mirror encoder feature
-        prev = ch + encoder_channels[n - 2 - j] if not is_last else ch
-
-    return NetParams(in_channels, encoder, decoder)
+    no_bn = ("enc1", f"enc{len(encoder_channels)}", f"dec{len(decoder_channels)}")
+    return _assemble(
+        in_channels, encoder_channels, decoder_channels, take, lambda name: name not in no_bn, dropout_stages
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +356,6 @@ def backward_stages(params: NetParams, cache, grad_out: np.ndarray):
             gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
         g = conv2d_bwd(t.x, st.conv, gz)
         yield _stage_params(st)
-
-
-def backward(params: NetParams, cache, grad_out: np.ndarray) -> None:
-    """Set every parameter's gradient for one cached training forward."""
-    for _ in backward_stages(params, cache, grad_out):
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +519,6 @@ def load_weights(path) -> NetParams:
         version, in_channels, step, count = unpack("<IIQI")
         if version != WEIGHTS_VERSION:
             raise WeightsVersionError(f"unsupported weights version {version}, expected {WEIGHTS_VERSION}")
-        if in_channels not in (1, 3):
-            raise WeightsFormatError(f"bad in_channels {in_channels}")
 
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -553,71 +557,40 @@ def load_weights(path) -> NetParams:
     return _rebuild(in_channels, step, tensors)
 
 
-def _stage_count(tensors: dict, prefix: str) -> int:
-    count = 0
-    while f"{prefix}{count + 1}.conv.weight" in tensors:
-        count += 1
-    if count == 0:
+def _ladder(tensors: dict[str, np.ndarray], prefix: str, out_axis: int) -> tuple[int, ...]:
+    """Each stage's output channels, read from axis out_axis of its conv weight."""
+    ladder = []
+    while (name := f"{prefix}{len(ladder) + 1}.conv.weight") in tensors:
+        if tensors[name].ndim != 4:
+            raise WeightsFormatError(f"tensor {name!r} has rank {tensors[name].ndim}, expected 4")
+        ladder.append(tensors[name].shape[out_axis])
+    if not ladder:
         raise WeightsFormatError(f"no {prefix} stages found in weights file")
-    return count
+    return tuple(ladder)
 
 
 def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> NetParams:
-    def grab(name: str) -> np.ndarray:
-        try:
-            return tensors[name]
-        except KeyError:
-            raise WeightsFormatError(f"missing tensor {name!r}") from None
+    """The model the tensors hold; a stage has batch norm when the file has its gamma."""
 
-    def vector(name: str, length: int) -> np.ndarray:
-        arr = grab(name)
-        if arr.shape != (length,):
-            raise WeightsFormatError(f"tensor {name!r} has shape {arr.shape}, expected ({length},)")
+    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        arr = tensors.get(name)
+        if arr is None:
+            raise WeightsFormatError(f"missing tensor {name!r}")
+        if arr.shape != shape:
+            raise WeightsFormatError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise WeightsFormatError(f"tensor {name!r} has negative values")
         return arr
 
-    def build_stage(name: str, out_axis: int):
-        """out_axis: the weight axis that holds the op's output channels."""
-        conv = ConvParams(grab(f"{name}.conv.weight"), grab(f"{name}.conv.bias"))
-        ch = conv.weight.shape[out_axis]
-        vector(f"{name}.conv.bias", ch)
-        bn = None
-        if f"{name}.bn.gamma" in tensors:
-            bn = BatchNormParams(vector(f"{name}.bn.gamma", ch), vector(f"{name}.bn.beta", ch))
-            bn.running_mean = vector(f"{name}.bn.running_mean", ch)
-            var_name = f"{name}.bn.running_var"
-            bn.running_var = vector(var_name, ch)
-            if (bn.running_var < 0).any():
-                raise WeightsFormatError(f"tensor {var_name!r} has negative values")
-        return conv, bn
-
-    n_enc = _stage_count(tensors, "enc")
-    n_dec = _stage_count(tensors, "dec")
-    if n_enc != n_dec:
-        raise WeightsFormatError(f"stage count mismatch: {n_enc} encoder vs {n_dec} decoder")
-
-    encoder = [EncoderStage(*build_stage(f"enc{i}", 0)) for i in range(1, n_enc + 1)]
-    decoder = [
-        DecoderStage(*build_stage(f"dec{j}", 1), drop)
-        for j, drop in enumerate(_dropout_flags(n_dec), start=1)
-    ]
-
-    # Each stage takes what its inputs give: enc1 the image channels, encoder
-    # i encoder i-1's output, dec1 the last encoder's, and decoder j > 1
-    # decoder j-1's output concatenated with its mirror encoder stage's.
-    def chain(name: str, takes: int, given: int):
-        if takes != given:
-            raise WeightsFormatError(f"tensor {name!r} takes {takes} input channels, its input has {given}")
-
-    given = in_channels
-    for i, st in enumerate(encoder, start=1):
-        chain(f"enc{i}.conv.weight", st.conv.in_ch, given)
-        given = st.conv.out_ch
-    for j, st in enumerate(decoder, start=1):
-        chain(f"dec{j}.conv.weight", st.conv.weight.shape[0], given)
-        if j < n_dec:
-            given = st.conv.weight.shape[1] + encoder[n_enc - 1 - j].conv.out_ch
-
-    return NetParams(in_channels, encoder, decoder, step=step)
+    try:
+        model = _assemble(
+            in_channels, _ladder(tensors, "enc", 0), _ladder(tensors, "dec", 1), take,
+            lambda name: f"{name}.bn.gamma" in tensors, DROPOUT_STAGES,
+        )
+    except ScrollbinError as exc:  # a ladder rule that the file breaks is a format error too
+        raise WeightsFormatError(str(exc)) from None
+    model.step = step
+    return model
 
 
 def params_equal(a: NetParams, b: NetParams) -> bool:

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, max_rel_err, naive_binet_eval
 
 from scrollbin import binet
-from scrollbin.autodiff import CHUNK, AdamState, ConvParams, Param, adam_step, l1_loss
+from scrollbin.autodiff import CHUNK, AdamState, Param, adam_step, l1_loss
 from scrollbin.binet import (
     ENCODER_CHANNELS,
     NetParams,
     TrainConfig,
-    backward,
+    backward_stages,
     binarize_image,
     build_model,
     denormalize_output,
@@ -28,7 +28,8 @@ from scrollbin.binet import (
     train,
 )
 from scrollbin.errors import ScrollbinError, WeightsFormatError, WeightsVersionError
-from scrollbin.imagecore import BinaryMask, GrayImage, RgbImage
+from scrollbin.cli import main
+from scrollbin.imagecore import BinaryMask, GrayImage, RgbImage, write_pnm
 
 TINY_ENC = (8, 4, 2, 1)
 TINY_DEC = (2, 4, 8, 1)
@@ -118,6 +119,17 @@ class TestBuildModel:
 
     def test_same_seed_bit_identical(self):
         assert params_equal(build_model(1, 9), build_model(1, 9))
+
+    def test_draws_in_named_tensors_order(self):
+        # the seeded bytes of every model ever built depend on this order
+        m = build_model(1, 7, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
+        rng = np.random.default_rng(7)
+        for name, arr in m.named_tensors():
+            if name.endswith((".weight", ".gamma")):
+                mean = 1.0 if name.endswith(".gamma") else 0.0
+                assert arr.tobytes() == rng.normal(mean, 0.02, arr.shape).astype(np.float32).tobytes()
+            else:
+                assert np.all(arr == (1.0 if name.endswith(".running_var") else 0.0))
 
     def test_different_seed_differs(self):
         assert not params_equal(build_model(1, 9), build_model(1, 10))
@@ -238,7 +250,8 @@ class TestEndToEndGradients:
             return l1_loss(binet._forward_cached(m, x, None)[0], target)[0]
 
         _, grad = l1_loss(out, target)
-        backward(m, cache, grad)
+        for _ in backward_stages(m, cache, grad):
+            pass
 
         worst = 0.0
         for p in m.params():
@@ -354,7 +367,8 @@ def whole_model_train(dataset, cfg, model):
             t = np.concatenate([mask_to_target(dataset[i][1]) for i in batch], axis=0)
             out, cache = binet._forward_cached(model, x, rng)
             loss, grad = l1_loss(out, t)
-            backward(model, cache, grad)
+            for _ in backward_stages(model, cache, grad):
+                pass
             adam_step(params, state, lr=cfg.lr)
             model.step += 1
             losses.append(loss)
@@ -663,15 +677,34 @@ class TestWeightsFormat:
         with pytest.raises(WeightsFormatError, match=r"enc2\.bn\.running_var"):
             load_weights(path)
 
-    def test_broken_channel_chain_rejected(self, tmp_path):
-        # 3-stage ladder: dec2 takes dec1's 4 channels plus enc2's 4, not 7.
-        m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
-        old = m.decoder[1].conv
-        m.decoder[1].conv = ConvParams(np.zeros((7, 4, 4, 4), np.float32), old.bias.data)
-        path = tmp_path / "m.bnet"
-        save_weights(m, path)
-        with pytest.raises(WeightsFormatError, match="dec2.conv.weight"):
-            load_weights(path)
+    def test_broken_channel_chain_rejected(self, tmp_path, capsys):
+        cases = [
+            # one input channel too many on each stage of a 3-stage ladder
+            ("enc1.conv.weight", (4, 2, 4, 4), "has shape (4, 2, 4, 4), expected (4, 1, 4, 4)"),
+            ("enc2.conv.weight", (4, 5, 4, 4), "has shape (4, 5, 4, 4), expected (4, 4, 4, 4)"),
+            ("enc3.conv.weight", (4, 5, 4, 4), "has shape (4, 5, 4, 4), expected (4, 4, 4, 4)"),
+            ("dec1.conv.weight", (5, 4, 4, 4), "has shape (5, 4, 4, 4), expected (4, 4, 4, 4)"),
+            # dec2 takes dec1's 4 channels plus enc2's 4, dec3 dec2's 4 plus enc1's 4
+            ("dec2.conv.weight", (9, 4, 4, 4), "has shape (9, 4, 4, 4), expected (8, 4, 4, 4)"),
+            ("dec3.conv.weight", (9, 1, 4, 4), "has shape (9, 1, 4, 4), expected (8, 1, 4, 4)"),
+            ("enc2.conv.weight", (4, 4, 16), "has rank 3, expected 4"),
+            ("dec3.conv.weight", (8, 2, 4, 4), "emits 2 channels, expected 1"),
+        ]
+        path, page, out = tmp_path / "m.bnet", tmp_path / "page.pgm", tmp_path / "out.pbm"
+        write_pnm(GrayImage(np.zeros((8, 8), np.uint8)), page)
+        for name, shape, message in cases:
+            m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
+            decoder = name.startswith("dec")
+            conv = (m.decoder if decoder else m.encoder)[int(name[3]) - 1].conv
+            conv.weight.data = np.zeros(shape, np.float32)
+            conv.bias.data = np.zeros(shape[1] if decoder else shape[0], np.float32)
+            save_weights(m, path)
+            with pytest.raises(WeightsFormatError) as err:
+                load_weights(path)
+            assert str(err.value) == f"tensor {name!r} {message}"
+            assert main(["binarize", "--model", str(path), "--input", str(page), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: tensor {name!r} {message}\n"
+            assert not out.exists()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -701,7 +734,10 @@ class TestWeightsFormat:
             loaded = load_weights(path)
         except ScrollbinError:
             return
-        assert isinstance(loaded, NetParams)
+        # a file that loads must run: one patch gives one finite output channel
+        size = loaded.patch
+        out = forward(loaded, np.zeros((1, loaded.in_channels, size, size), np.float32))
+        assert out.shape == (1, 1, size, size) and np.isfinite(out).all()
 
     def test_netparams_metadata(self):
         m = tiny_model(seed=123)

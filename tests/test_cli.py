@@ -27,9 +27,7 @@ def write_mask(path, arr):
 
 @pytest.fixture
 def tiny_weights(tmp_path):
-    model = binet.build_model(
-        1, 5, encoder_channels=(8, 4, 2, 1), decoder_channels=(2, 4, 8, 1), dropout_stages=()
-    )
+    model = binet.build_model(1, 5, encoder_channels=(8, 4, 2, 1), decoder_channels=(2, 4, 8, 1))
     path = tmp_path / "tiny.bnet"
     binet.save_weights(model, path)
     return str(path)
@@ -386,9 +384,7 @@ class TestImageCommands:
 
 @pytest.fixture
 def tiny_color_weights(tmp_path):
-    model = binet.build_model(
-        3, 6, encoder_channels=(8, 4, 2, 1), decoder_channels=(2, 4, 8, 1), dropout_stages=()
-    )
+    model = binet.build_model(3, 6, encoder_channels=(8, 4, 2, 1), decoder_channels=(2, 4, 8, 1))
     path = tmp_path / "tiny3.bnet"
     binet.save_weights(model, path)
     return str(path)
