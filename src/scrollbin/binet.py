@@ -60,6 +60,8 @@ PATCH = 1 << len(ENCODER_CHANNELS)  # the default model's patch side: each encod
 DROPOUT_STAGES = (0, 1, 2)
 INIT_STD = 0.02
 
+GROUP = 16  # patches binarize_image runs through each stage between two reads of its weights
+
 WEIGHTS_MAGIC = b"BNET"
 WEIGHTS_VERSION = 1
 _MAX_TENSOR_ELEMS = 1 << 28
@@ -114,17 +116,24 @@ class NetParams:
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params())
 
+    def named_stages(self) -> list[tuple[str, Stage]]:
+        """Each stage with its name, in forward order: enc1..encN, then dec1..decN."""
+        return [
+            (f"{prefix}{i}", st)
+            for prefix, stages in (("enc", self.encoder), ("dec", self.decoder))
+            for i, st in enumerate(stages, start=1)
+        ]
+
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         out = []
-        for prefix, stages in (("enc", self.encoder), ("dec", self.decoder)):
-            for i, st in enumerate(stages, start=1):
-                out.append((f"{prefix}{i}.conv.weight", st.conv.weight.data))
-                out.append((f"{prefix}{i}.conv.bias", st.conv.bias.data))
-                if st.bn is not None:
-                    out.append((f"{prefix}{i}.bn.gamma", st.bn.gamma.data))
-                    out.append((f"{prefix}{i}.bn.beta", st.bn.beta.data))
-                    out.append((f"{prefix}{i}.bn.running_mean", st.bn.running_mean))
-                    out.append((f"{prefix}{i}.bn.running_var", st.bn.running_var))
+        for name, st in self.named_stages():
+            out.append((f"{name}.conv.weight", st.conv.weight.data))
+            out.append((f"{name}.conv.bias", st.conv.bias.data))
+            if st.bn is not None:
+                out.append((f"{name}.bn.gamma", st.bn.gamma.data))
+                out.append((f"{name}.bn.beta", st.bn.beta.data))
+                out.append((f"{name}.bn.running_mean", st.bn.running_mean))
+                out.append((f"{name}.bn.running_var", st.bn.running_var))
         return out
 
 
@@ -174,14 +183,7 @@ def _assemble(
         raise ScrollbinError(f"tensor 'dec{n}.conv.weight' emits {decoder_channels[-1]} channels, expected 1")
 
     def stage(name: str, weight_shape: tuple[int, ...], ch: int, drop: bool = False) -> Stage:
-        out = (ch,)
-        conv = ConvParams(take(f"{name}.conv.weight", weight_shape), take(f"{name}.conv.bias", out))
-        bn = None
-        if has_bn(name):
-            bn = BatchNormParams(take(f"{name}.bn.gamma", out), take(f"{name}.bn.beta", out))
-            bn.running_mean = take(f"{name}.bn.running_mean", out)
-            bn.running_var = take(f"{name}.bn.running_var", out)
-        return Stage(conv, bn, drop)
+        return _stage(name, take, weight_shape, ch, has_bn(name), drop)
 
     encoder, decoder, given = [], [], in_channels
     for i, ch in enumerate(encoder_channels, start=1):
@@ -191,6 +193,25 @@ def _assemble(
         decoder.append(stage(f"dec{j}", (given, ch, KERNEL, KERNEL), ch, j - 1 in drops and j < n))
         given = ch + (encoder_channels[n - 1 - j] if j < n else 0)
     return NetParams(in_channels, encoder, decoder)
+
+
+def _stage(
+    name: str,
+    take: Callable[[str, tuple[int, ...]], np.ndarray],
+    weight_shape: tuple[int, ...],
+    ch: int,
+    bn: bool,
+    drop: bool,
+) -> Stage:
+    """Stage name, each tensor from take(tensor name, shape) in named_tensors order."""
+    out = (ch,)
+    conv = ConvParams(take(f"{name}.conv.weight", weight_shape), take(f"{name}.conv.bias", out))
+    norm = None
+    if bn:
+        norm = BatchNormParams(take(f"{name}.bn.gamma", out), take(f"{name}.bn.beta", out))
+        norm.running_mean = take(f"{name}.bn.running_mean", out)
+        norm.running_var = take(f"{name}.bn.running_var", out)
+    return Stage(conv, norm, drop)
 
 
 def build_model(
@@ -282,10 +303,33 @@ def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator |
     return dec[-1].out, (enc, dec)
 
 
-def _affine_act(z: np.ndarray, bn: BatchNormParams | None, last: bool) -> np.ndarray:
+Affine = tuple[np.ndarray, np.ndarray] | None  # a stage's eval batch norm as (scale, shift); None without
+
+
+def _eval_affine(name: str, st: Stage) -> Affine:
+    """Stage name's batch norm as its eval affine, computed once for every patch that runs it.
+
+    A gamma near float32's limit over a running variance near 0 overflows
+    the scale; that would turn every output into NaN, so it is refused.
+    """
+    if st.bn is None:
+        return None
+    with np.errstate(all="ignore"):  # the check below reports an overflow once
+        scale, shift = batchnorm_eval_affine(st.bn)
+    if not (np.isfinite(scale).all() and np.isfinite(shift).all()):
+        raise WeightsFormatError(f"stage {name!r} has a non-finite batch-norm eval scale or shift")
+    return scale, shift
+
+
+def _eval_stage(name: str, st: Stage) -> tuple[Stage, Affine]:
+    """The stage reader of a model held in memory."""
+    return st, _eval_affine(name, st)
+
+
+def _affine_act(z: np.ndarray, affine: Affine, last: bool) -> np.ndarray:
     """Eval batch norm, then LeakyReLU or, on the last stage, tanh; all in place on z."""
-    if bn is not None:
-        scale, shift = batchnorm_eval_affine(bn)
+    if affine is not None:
+        scale, shift = affine
         z *= scale[:, None, None]
         z += shift[:, None, None]
     if last:
@@ -293,27 +337,44 @@ def _affine_act(z: np.ndarray, bn: BatchNormParams | None, last: bool) -> np.nda
     return leaky_relu(z, out=z)
 
 
+def _forward_group(
+    params: NetParams, read: Callable[[str, Stage], tuple[Stage, Affine]], xs: list[np.ndarray]
+) -> list[np.ndarray]:
+    """The eval forward of every input in xs, stage-major; xs is consumed and returned as the outputs.
+
+    read(name, stage) gives each of params' stages, in forward order, with
+    its eval affine, and every input runs through that stage before the next
+    one is read; the stage is dropped first, so one stage's weights are held
+    at a time. Each input runs alone through each GEMM, so an output does not
+    depend on the other inputs. Only the skip features the decoder still
+    needs are kept; batch norm and the activations run in place on each
+    stage's output, and dropout is skipped.
+    """
+    n = len(params.encoder)
+    skips: list[list[np.ndarray]] = [[] for _ in xs]
+    for i, (name, skeleton) in enumerate(params.named_stages()):
+        st, affine = read(name, skeleton)
+        for k, h in enumerate(xs):
+            if i < n:
+                h = _affine_act(conv2d_fwd(h, st.conv), affine, False)
+                if i < n - 1:  # the innermost output feeds dec1 directly
+                    skips[k].append(h)
+            else:
+                h = _affine_act(deconv2d_fwd(h, st.conv), affine, i == 2 * n - 1)
+                if skips[k]:
+                    h = concat_channels(h, skips[k].pop())
+            xs[k] = h
+        del st, affine  # before the next stage is read
+    return xs
+
+
 def forward(params: NetParams, x: np.ndarray) -> np.ndarray:
     """Inference forward; output shape (batch, 1, patch, patch), values in (-1, 1).
 
-    It keeps no stage records, only the skip features the decoder still
-    needs. Batch norm is its per-channel affine from the running statistics
-    and, like the activations, runs in place on each stage's output; dropout
-    is skipped.
+    The one-input case of the stage-major eval forward that binarize_image runs.
     """
     _check_input(params, x)
-    n = len(params.encoder)
-    skips = []
-    h = x
-    for st in params.encoder:
-        h = _affine_act(conv2d_fwd(h, st.conv), st.bn, False)
-        skips.append(h)
-    skips.pop()  # the innermost output feeds dec1 directly
-    for j, st in enumerate(params.decoder):
-        h = _affine_act(deconv2d_fwd(h, st.conv), st.bn, j == n - 1)
-        if skips:
-            h = concat_channels(h, skips.pop())
-    return h
+    return _forward_group(params, _eval_stage, [x])[0]
 
 
 def backward_stages(params: NetParams, cache, grad_out: np.ndarray):
@@ -452,19 +513,31 @@ def train(dataset: list, cfg: TrainConfig, init: NetParams | None = None) -> tup
 # ---------------------------------------------------------------------------
 
 
-def binarize_image(params: NetParams, img: GrayImage | RgbImage) -> BinaryMask:
-    """Binarize an image of any size: tile, run each patch, stitch the masks.
+def binarize_image(source: NetParams | WeightsFile, img: GrayImage | RgbImage) -> BinaryMask:
+    """Binarize an image of any size: tile, run the patches, stitch the masks.
 
-    Inference is the eval forward, which keeps no training caches, and a
-    pure function of (params, img). Patches run one at a time in the calling
-    thread, because each convolution is a BLAS GEMM that already spreads over
-    every core; threads over patches only contend with it, and batching
-    patches measured barely faster while multiplying activation memory.
+    source is a model in memory or an open weights file. Inference is the
+    eval forward, run stage-major over groups of at most GROUP patches:
+    each stage is read (from the file, with every load check) or taken
+    (from memory) once per group, every patch of the group runs through it
+    while its weights are still in cache, and it is dropped before the next
+    stage is read. From a file, the memory held is therefore one stage's
+    weights (at most 32 MiB for the default model, whose file is 208 MiB)
+    plus the group's activations, under 8 MiB of skip features per 256x256
+    patch, whatever the page size; a page of more than GROUP patches reads
+    the stages once per group. Each patch runs alone through every GEMM, in
+    the calling thread, so a mask is the same bytes whatever the group or
+    the page around it; threads over patches would only contend with BLAS,
+    which already spreads each GEMM over every core.
     """
+    params, read = (source.model, source.read_stage) if isinstance(source, WeightsFile) else (source, _eval_stage)
     if img.channels != params.in_channels:
         raise ScrollbinError(f"image has {img.channels} channel(s), model expects {params.in_channels}")
     grid = split_patches(img, params.patch)
-    masks = [denormalize_output(forward(params, normalize_input(p))) for p in grid.patches]
+    masks = []
+    for lo in range(0, len(grid.patches), GROUP):
+        outs = _forward_group(params, read, [normalize_input(p) for p in grid.patches[lo : lo + GROUP]])
+        masks.extend(denormalize_output(out) for out in outs)
     return reassemble(grid.with_patches(masks))
 
 
@@ -490,102 +563,175 @@ def save_weights(params: NetParams, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
-def load_weights(path) -> NetParams:
-    """Read a weights file, each tensor straight into its own aligned array.
+def _index(fh, path, info: os.stat_result) -> tuple[int, int, list[tuple[str, tuple[int, ...], int]]]:
+    """(in_channels, step, (name, dims, data offset) per tensor in file order) of an open weights file.
 
-    Every size is checked against the file's length before anything is
-    read or allocated, so a header cannot ask for more memory than the file
-    holds. That needs a length, so a pipe or other stream is refused. Each
-    tensor's values are checked finite as they are read.
+    Reads no tensor data: every size is checked against the file's length
+    before anything is read or allocated, so a header cannot ask for more
+    memory than the file holds, and the payload must end where the file does.
+    That needs a length (info is fh's fstat), so a pipe or other stream is refused.
     """
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            raise WeightsFormatError(f"{path}: not a regular file")
-        size = st.st_size
+    if not stat.S_ISREG(info.st_mode):
+        raise WeightsFormatError(f"{path}: not a regular file")
+    size = info.st_size
 
-        def need(count: int) -> int:
-            """count, once the file is known to hold that many more bytes."""
-            pos = fh.tell()
-            if pos + count > size:
-                raise WeightsFormatError(f"truncated weights file: wanted {count} bytes at offset {pos}")
-            return count
+    def need(count: int) -> int:
+        """count, once the file is known to hold that many more bytes."""
+        pos = fh.tell()
+        if pos + count > size:
+            raise WeightsFormatError(f"truncated weights file: wanted {count} bytes at offset {pos}")
+        return count
 
-        def unpack(fmt: str):
-            return struct.unpack(fmt, fh.read(need(struct.calcsize(fmt))))
+    def unpack(fmt: str):
+        return struct.unpack(fmt, fh.read(need(struct.calcsize(fmt))))
 
-        if fh.read(need(4)) != WEIGHTS_MAGIC:
-            raise WeightsFormatError("bad magic: not a scrollbin weights file")
-        version, in_channels, step, count = unpack("<IIQI")
-        if version != WEIGHTS_VERSION:
-            raise WeightsVersionError(f"unsupported weights version {version}, expected {WEIGHTS_VERSION}")
+    if fh.read(need(4)) != WEIGHTS_MAGIC:
+        raise WeightsFormatError("bad magic: not a scrollbin weights file")
+    version, in_channels, step, count = unpack("<IIQI")
+    if version != WEIGHTS_VERSION:
+        raise WeightsVersionError(f"unsupported weights version {version}, expected {WEIGHTS_VERSION}")
 
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = unpack("<H")
-            raw_name = fh.read(need(name_len))
-            try:
-                name = str(raw_name, "utf-8")
-            except UnicodeDecodeError:
-                raise WeightsFormatError(
-                    f"tensor name ending at offset {fh.tell()} is not valid UTF-8"
-                ) from None
-            (rank,) = unpack("<B")
-            if rank > 4:
-                raise WeightsFormatError(f"tensor {name!r} has rank {rank} > 4")
-            dims = unpack(f"<{rank}I")
-            if 0 in dims:
-                raise WeightsFormatError(f"tensor {name!r} has a zero dimension")
-            elems = math.prod(dims)
-            if elems > _MAX_TENSOR_ELEMS:
-                raise WeightsFormatError(f"tensor {name!r} dimension overflow: {dims}")
-            need(4 * elems)
-            # Read into a fresh array rather than view a file buffer: such a
-            # view can be misaligned, and BLAS then falls back to a slow loop.
-            # Each CHUNK-element slice is checked while it is still in cache.
-            arr = np.empty(dims, dtype="<f4")
-            flat = arr.reshape(-1)
-            for lo in range(0, elems, CHUNK):
-                part = flat[lo : lo + CHUNK]
-                fh.readinto(part)
-                if not all_finite(part):
-                    raise WeightsFormatError(f"tensor {name!r} has non-finite values")
-            tensors[name] = arr
-        if fh.tell() != size:
-            raise WeightsFormatError(f"{size - fh.tell()} trailing bytes after last tensor")
-
-    return _rebuild(in_channels, step, tensors)
+    entries = []
+    for _ in range(count):
+        (name_len,) = unpack("<H")
+        raw_name = fh.read(need(name_len))
+        try:
+            name = str(raw_name, "utf-8")
+        except UnicodeDecodeError:
+            raise WeightsFormatError(f"tensor name ending at offset {fh.tell()} is not valid UTF-8") from None
+        (rank,) = unpack("<B")
+        if rank > 4:
+            raise WeightsFormatError(f"tensor {name!r} has rank {rank} > 4")
+        dims = unpack(f"<{rank}I")
+        if 0 in dims:
+            raise WeightsFormatError(f"tensor {name!r} has a zero dimension")
+        elems = math.prod(dims)
+        if elems > _MAX_TENSOR_ELEMS:
+            raise WeightsFormatError(f"tensor {name!r} dimension overflow: {dims}")
+        entries.append((name, dims, fh.tell()))
+        fh.seek(need(4 * elems), os.SEEK_CUR)
+    if fh.tell() != size:
+        raise WeightsFormatError(f"{size - fh.tell()} trailing bytes after last tensor")
+    return in_channels, step, entries
 
 
-def _ladder(tensors: dict[str, np.ndarray], prefix: str, out_axis: int) -> tuple[int, ...]:
+class WeightsFile:
+    """An open weights file whose structure is checked, read one stage at a time.
+
+    Opening reads the header and each tensor's name and dims (see _index)
+    and assembles `model` from the shapes alone, each tensor a zero-stride
+    placeholder, so every name, shape and ladder rule holds before any value
+    is read. It then reads and checks each tensor that no stage uses, as
+    load_weights always has, and drops it. read_stage reads one stage's
+    values. Use it as a context manager, or call close.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self._stat = os.fstat(self._fh.fileno())
+            in_channels, step, entries = _index(self._fh, path, self._stat)
+            # a name given twice: the last one counts, as a dict's would
+            self._at = {name: (dims, offset) for name, dims, offset in entries}
+            self.model = _rebuild(in_channels, step, {name: dims for name, (dims, _) in self._at.items()})
+            used = {name for name, _ in self.model.named_tensors()}
+            for name, dims, offset in entries:
+                if name not in used or self._at[name][1] != offset:
+                    self._read(name, dims, offset)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> WeightsFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _read(self, name: str, dims: tuple[int, ...], offset: int) -> np.ndarray:
+        """The tensor at offset, read straight into its own aligned array.
+
+        Reading into a fresh array rather than viewing a file buffer keeps it
+        aligned: BLAS falls back to a slow loop on a misaligned one. Each
+        CHUNK-element slice is checked finite while it is still in cache.
+        """
+        arr = np.empty(dims, dtype="<f4")
+        flat = arr.reshape(-1)
+        self._fh.seek(offset)
+        for lo in range(0, flat.size, CHUNK):
+            part = flat[lo : lo + CHUNK]
+            if self._fh.readinto(part) != part.nbytes:
+                raise WeightsFormatError(f"{self.path}: file changed while it was read")
+            if not all_finite(part):
+                raise WeightsFormatError(f"tensor {name!r} has non-finite values")
+        return arr
+
+    def _take(self, name: str, _shape: tuple[int, ...]) -> np.ndarray:
+        """Tensor name of `model`, read and checked; a running variance must not be negative."""
+        arr = self._read(name, *self._at[name])
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise WeightsFormatError(f"tensor {name!r} has negative values")
+        return arr
+
+    def read_stage(self, name: str, skeleton: Stage) -> tuple[Stage, Affine]:
+        """Stage name of `model`, its values read and checked, with its eval affine."""
+        now = os.fstat(self._fh.fileno())
+        if (now.st_size, now.st_mtime_ns) != (self._stat.st_size, self._stat.st_mtime_ns):
+            raise WeightsFormatError(f"{self.path}: file changed while it was read")
+        st = _stage(
+            name, self._take, skeleton.conv.weight.shape, skeleton.conv.bias.shape[0], skeleton.bn is not None,
+            skeleton.drop,
+        )
+        return st, _eval_affine(name, st)
+
+
+def load_weights(path) -> NetParams:
+    """Read a weights file whole: its structure, then every stage's values in forward order.
+
+    Each tensor lands in its own aligned array, checked as it is read; see
+    WeightsFile for the order of the checks.
+    """
+    with WeightsFile(path) as weights:
+        model = weights.model
+        stages = [weights.read_stage(name, st)[0] for name, st in model.named_stages()]
+    n = len(model.encoder)
+    return NetParams(model.in_channels, stages[:n], stages[n:], model.step)
+
+
+def _ladder(shapes: dict[str, tuple[int, ...]], prefix: str, out_axis: int) -> tuple[int, ...]:
     """Each stage's output channels, read from axis out_axis of its conv weight."""
     ladder = []
-    while (name := f"{prefix}{len(ladder) + 1}.conv.weight") in tensors:
-        if tensors[name].ndim != 4:
-            raise WeightsFormatError(f"tensor {name!r} has rank {tensors[name].ndim}, expected 4")
-        ladder.append(tensors[name].shape[out_axis])
+    while (name := f"{prefix}{len(ladder) + 1}.conv.weight") in shapes:
+        if len(shapes[name]) != 4:
+            raise WeightsFormatError(f"tensor {name!r} has rank {len(shapes[name])}, expected 4")
+        ladder.append(shapes[name][out_axis])
     if not ladder:
         raise WeightsFormatError(f"no {prefix} stages found in weights file")
     return tuple(ladder)
 
 
-def _rebuild(in_channels: int, step: int, tensors: dict[str, np.ndarray]) -> NetParams:
-    """The model the tensors hold; a stage has batch norm when the file has its gamma."""
+def _rebuild(in_channels: int, step: int, shapes: dict[str, tuple[int, ...]]) -> NetParams:
+    """The model the tensor shapes describe, each tensor a zero-stride float32 placeholder.
+
+    A stage has batch norm when the file has its gamma.
+    """
 
     def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        arr = tensors.get(name)
-        if arr is None:
+        dims = shapes.get(name)
+        if dims is None:
             raise WeightsFormatError(f"missing tensor {name!r}")
-        if arr.shape != shape:
-            raise WeightsFormatError(f"tensor {name!r} has shape {arr.shape}, expected {shape}")
-        if name.endswith(".running_var") and (arr < 0).any():
-            raise WeightsFormatError(f"tensor {name!r} has negative values")
-        return arr
+        if dims != shape:
+            raise WeightsFormatError(f"tensor {name!r} has shape {dims}, expected {shape}")
+        return np.broadcast_to(np.float32(0), shape)
 
     try:
         model = _assemble(
-            in_channels, _ladder(tensors, "enc", 0), _ladder(tensors, "dec", 1), take,
-            lambda name: f"{name}.bn.gamma" in tensors, DROPOUT_STAGES,
+            in_channels, _ladder(shapes, "enc", 0), _ladder(shapes, "dec", 1), take,
+            lambda name: f"{name}.bn.gamma" in shapes, DROPOUT_STAGES,
         )
     except ScrollbinError as exc:  # a ladder rule that the file breaks is a format error too
         raise WeightsFormatError(str(exc)) from None

@@ -242,8 +242,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_binarize(args) -> int:
-    model = binet.load_weights(args.model)
-    mask = binet.binarize_image(model, _read_image(args.input, model.in_channels))
+    # The file's structure is checked here; its values are read stage by stage as the patches run.
+    with binet.WeightsFile(args.model) as weights:
+        mask = binet.binarize_image(weights, _read_image(args.input, weights.model.in_channels))
     write_pnm(mask, args.out)
     return 0
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import struct
 import tracemalloc
@@ -13,8 +15,10 @@ from scrollbin import binet
 from scrollbin.autodiff import CHUNK, AdamState, Param, adam_step, l1_loss
 from scrollbin.binet import (
     ENCODER_CHANNELS,
+    GROUP,
     NetParams,
     TrainConfig,
+    WeightsFile,
     backward_stages,
     binarize_image,
     build_model,
@@ -29,7 +33,8 @@ from scrollbin.binet import (
 )
 from scrollbin.errors import ScrollbinError, WeightsFormatError, WeightsVersionError
 from scrollbin.cli import main
-from scrollbin.imagecore import BinaryMask, GrayImage, RgbImage, write_pnm
+from scrollbin.imagecore import BinaryMask, GrayImage, RgbImage, read_pnm, to_grayscale, write_pnm
+from scrollbin.tiling import reassemble, split
 
 TINY_ENC = (8, 4, 2, 1)
 TINY_DEC = (2, 4, 8, 1)
@@ -478,6 +483,93 @@ class TestBinarizeImage:
         with pytest.raises(ScrollbinError):
             binarize_image(m, rgb)
 
+    @staticmethod
+    def edge_model():
+        """A tiny model whose deep stages see subnormal values and -0."""
+        m = tiny_model()
+        enc2, enc3 = m.encoder[1], m.encoder[2]
+        enc2.conv.weight.data *= np.float32(1e-36)  # enc2 outputs near FLT_MIN, enc3's inputs below it
+        enc3.conv.weight.data[0] = 0.0  # enc3's channel 0 is exactly 0 ...
+        enc3.conv.bias.data[:] = 0.0
+        enc3.bn.gamma.data[0] = -1.0  # ... and, negated over a -0 shift, -0
+        enc3.bn.beta.data[0] = -0.0
+        enc3.bn.running_mean[0] = -0.0
+        return m
+
+    @pytest.mark.parametrize("kind", ["gray", "color", "edge"])
+    def test_streamed_matches_per_patch_forward(self, tmp_path, monkeypatch, kind):
+        m = {"gray": tiny_model, "color": lambda: tiny_model(seed=9, in_channels=3), "edge": self.edge_model}[kind]()
+        path = tmp_path / "m.bnet"
+        save_weights(m, path)
+        loaded = load_weights(path)
+        seen = {"subnormal": 0, "negative zero": 0}
+        if kind == "edge":
+            for name in ("conv2d_fwd", "deconv2d_fwd"):
+                original = getattr(binet, name)
+
+                def recorded(x, p, _original=original):
+                    seen["subnormal"] += int(((x != 0) & (np.abs(x) < np.finfo(np.float32).tiny)).sum())
+                    seen["negative zero"] += int(((x == 0) & np.signbit(x)).sum())
+                    return _original(x, p)
+
+                monkeypatch.setattr(binet, name, recorded)
+        rng = np.random.default_rng(18)
+        # pages of 1, GROUP - 1, GROUP, GROUP + 1 and 2 * GROUP + 3 patches of 16x16
+        for rows, cols in ((1, 1), (3, 5), (4, 4), (1, GROUP + 1), (5, 7)):
+            assert rows * cols in (1, GROUP - 1, GROUP, GROUP + 1, 2 * GROUP + 3)
+            shape = (16 * rows - 3, 16 * cols - 5) + ((3,) if m.in_channels == 3 else ())
+            pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+            img = RgbImage(pixels) if m.in_channels == 3 else GrayImage(pixels)
+            grid = split(img, loaded.patch)
+            per_patch = reassemble(grid.with_patches(
+                [denormalize_output(forward(loaded, normalize_input(p))) for p in grid.patches]
+            ))
+            with WeightsFile(path) as weights:
+                streamed = binarize_image(weights, img)
+            assert np.array_equal(streamed.ink, per_patch.ink), (rows, cols)
+            assert np.array_equal(binarize_image(loaded, img).ink, per_patch.ink), (rows, cols)
+        if kind == "edge":
+            assert seen["subnormal"] > 0 and seen["negative zero"] > 0
+
+    def test_streamed_peak_holds_one_stage(self, tmp_path):
+        # enc4's and dec1's weights are 8 MiB each, of a 19 MiB file
+        m = build_model(1, 3, encoder_channels=(32, 64, 256, 512), decoder_channels=(256, 64, 32, 1))
+        path, page, out = tmp_path / "m.bnet", tmp_path / "page.pgm", tmp_path / "out.pbm"
+        save_weights(m, path)
+        write_pnm(random_gray(np.random.default_rng(19), 50, 40), page)
+        size = path.stat().st_size
+        largest = max(
+            sum(arr.nbytes for tensor, arr in m.named_tensors() if tensor.startswith(f"{name}."))
+            for name, _ in m.named_stages()
+        )
+        argv = ["binarize", "--model", str(path), "--input", str(page), "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest + (1 << 20)
+        assert peak < size / 2
+
+    def test_group_bounds_memory_of_long_pages(self, tmp_path):
+        # 64x64 patches, each holding about 85 KB of skip features
+        m = build_model(1, 4, encoder_channels=(16,) * 6, decoder_channels=(16,) * 5 + (1,))
+        path = tmp_path / "m.bnet"
+        save_weights(m, path)
+        rng = np.random.default_rng(20)
+        peaks = []
+        for rows, cols in ((4, GROUP // 4), (6, GROUP // 2)):  # GROUP and 3 * GROUP patches
+            img = random_gray(rng, 64 * cols, 64 * rows)
+            with WeightsFile(path) as weights:
+                tracemalloc.start()
+                try:
+                    binarize_image(weights, img)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1 << 20
+
 
 class TestWeightsFormat:
     def test_roundtrip_bit_identical(self, tmp_path):
@@ -651,8 +743,11 @@ class TestWeightsFormat:
         m.decoder[-1].conv.bias.data[:] = np.nan  # the last tensor in the file
         path = tmp_path / "m.bnet"
         save_weights(m, path)
-        path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(WeightsFormatError, match="'dec4.conv.bias' has non-finite"):
+            load_weights(path)
+        # The structure is checked before any value is read.
+        path.write_bytes(path.read_bytes() + b"extra")
+        with pytest.raises(WeightsFormatError, match="^5 trailing bytes after last tensor$"):
             load_weights(path)
 
         # A tensor that no stage reads is checked too.
@@ -666,6 +761,38 @@ class TestWeightsFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(WeightsFormatError, match="'spare' has non-finite"):
             load_weights(path)
+
+    def test_non_finite_eval_affine_rejected(self, tmp_path, capsys):
+        # every value is finite, but gamma / sqrt(running_var + eps) overflows float32
+        m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
+        m.decoder[0].bn.gamma.data[:] = 1e37
+        m.decoder[0].bn.running_var[:] = 0.0
+        path, page, out = tmp_path / "m.bnet", tmp_path / "page.pgm", tmp_path / "out.pbm"
+        save_weights(m, path)
+        write_pnm(random_gray(np.random.default_rng(21), 20, 12), page)
+        message = "stage 'dec1' has a non-finite batch-norm eval scale or shift"
+        with pytest.raises(WeightsFormatError) as err:
+            load_weights(path)
+        assert str(err.value) == message
+        with pytest.raises(WeightsFormatError, match=message):
+            binarize_image(m, read_pnm(page))
+        assert main(["binarize", "--model", str(path), "--input", str(page), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_file_changed_while_binarizing_rejected(self, tmp_path):
+        path = tmp_path / "m.bnet"
+        save_weights(tiny_model(), path)
+        img = random_gray(np.random.default_rng(22), 20, 20)
+        with WeightsFile(path) as weights:
+            save_weights(tiny_model(seed=6), path)  # another model of the same size
+            os.utime(path, ns=(0, 0))  # whatever the clock's resolution
+            with pytest.raises(WeightsFormatError, match="changed while it was read"):
+                binarize_image(weights, img)
+        with WeightsFile(path) as weights:
+            path.write_bytes(path.read_bytes()[:100])
+            with pytest.raises(WeightsFormatError, match="changed while it was read"):
+                binarize_image(weights, img)
 
     def test_negative_running_var_rejected(self, tmp_path):
         m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
@@ -730,10 +857,24 @@ class TestWeightsFormat:
         if cut is not None:
             del data[cut % (len(data) + 1) :]
         path.write_bytes(bytes(data))
+        # binarize reads the file stage by stage, load whole: they must agree.
+        # A color page suits a model of either channel count.
+        page, out = path.with_suffix(".ppm"), path.with_suffix(".pbm")
+        img = RgbImage(np.random.default_rng(23).integers(0, 256, (6, 7, 3), dtype=np.uint8))
+        write_pnm(img, page)
+        out.unlink(missing_ok=True)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["binarize", "--model", str(path), "--input", str(page), "--out", str(out)])
         try:
             loaded = load_weights(path)
-        except ScrollbinError:
+        except ScrollbinError as exc:
+            assert (code, stderr.getvalue()) == (2, f"error: {exc}\n")
+            assert not out.exists()
             return
+        assert code == 0, stderr.getvalue()
+        expected = binarize_image(loaded, img if loaded.in_channels == 3 else to_grayscale(img))
+        assert np.array_equal(read_pnm(out).ink, expected.ink)
         # a file that loads must run: one patch gives one finite output channel
         size = loaded.patch
         out = forward(loaded, np.zeros((1, loaded.in_channels, size, size), np.float32))
