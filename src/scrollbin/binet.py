@@ -168,11 +168,11 @@ def _assemble(
 ) -> NetParams:
     """The model the channel ladders give, each tensor from take(name, shape) in named_tensors order.
 
-    The one statement of the wiring: enc1 takes the image, encoder stage i
-    stage i-1's output, dec1 the innermost encoder output, and decoder stage
-    j > 1 stage j-1's output joined by its mirror encoder stage's. has_bn(stage
-    name) places batch norm; drops lists the decoder stages with dropout,
-    which the output stage never has.
+    It states the shapes of the wiring that _join runs: enc1 takes the
+    image's channels, encoder stage i stage i-1's, dec1 the innermost encoder
+    stage's, and decoder stage j > 1 stage j-1's plus those of its skip from
+    encoder stage n - j + 1. has_bn(stage name) places batch norm; drops
+    lists the decoder stages with dropout, which the output stage never has.
     """
     if in_channels not in (1, 3):
         raise ScrollbinError(f"in_channels must be 1 or 3, got {in_channels}")
@@ -264,43 +264,62 @@ def _check_input(params: NetParams, x: np.ndarray):
         raise ScrollbinError(f"input spatial dims must be {size}x{size}, got {x.shape[2]}x{x.shape[3]}")
 
 
-def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator | None):
-    """Training forward returning (output, (encoder traces, decoder traces)).
+def _join(i: int, n: int, h: np.ndarray, kept: list[np.ndarray]) -> np.ndarray:
+    """The skip rule at stage i of the 2n in named_stages order: its output h as the next stage takes it.
 
-    Batch norm normalizes by the batch statistics and updates the running
-    ones; stages with dropout draw their masks from rng, which may be None
-    only for a model without dropout.
+    Each encoder stage but the innermost keeps its output in kept; each
+    decoder stage but the last joins its output with the most recently kept
+    one, so decoder stage j meets encoder stage n - j.
+    """
+    if i < n - 1:
+        kept.append(h)
+    elif n <= i < 2 * n - 1:
+        h = concat_channels(h, kept.pop())
+    return h
+
+
+def _join_bwd(i: int, n: int, g: np.ndarray, kept: list[np.ndarray], channels: int) -> np.ndarray:
+    """_join's adjoint, walked from the last stage back: the gradient g of stage i's joined output, made its own's.
+
+    A joining decoder stage splits its channels from its skip's gradient and
+    keeps that; the encoder stage that kept the skip adds it back.
+    """
+    if n <= i < 2 * n - 1:
+        g, skip = split_channels(g, channels)
+        kept.append(skip)
+    elif i < n - 1:
+        g = g + kept.pop()
+    return g
+
+
+def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator | None):
+    """Training forward returning (output, one StageTrace per stage in named_stages order).
+
+    One walk over named_stages: stage i < n convolves, the others transpose,
+    the last ends in tanh, and _join passes each output on. Batch norm
+    normalizes by the batch statistics and updates the running ones; stages
+    with dropout draw their masks from rng, which may be None only for a
+    model without dropout.
     """
     _check_input(params, x)
-    n = len(params.encoder)
-    if rng is None and any(st.drop for st in params.decoder):
+    stages = params.named_stages()
+    if rng is None and any(st.drop for _, st in stages):
         raise ScrollbinError("training forward needs an RNG for dropout masks")
-
-    enc: list[StageTrace] = []
+    n = len(params.encoder)
+    trace: list[StageTrace] = []
+    kept: list[np.ndarray] = []
     h = x
-    for st in params.encoder:
-        z = conv2d_fwd(h, st.conv)
-        bn_cache = None
+    for i, (_, st) in enumerate(stages):
+        z = (conv2d_fwd if i < n else deconv2d_fwd)(h, st.conv)
+        bn_cache = keep = None
         if st.bn is not None:
             z, bn_cache = batchnorm_fwd(z, st.bn)
-        enc.append(StageTrace(h, leaky_relu(z, out=z), bn_cache))
-        h = enc[-1].out
-
-    dec: list[StageTrace] = []
-    for j, st in enumerate(params.decoder):
-        z = deconv2d_fwd(h, st.conv)
-        bn_cache = None
-        if st.bn is not None:
-            z, bn_cache = batchnorm_fwd(z, st.bn)
-        if j == n - 1:
-            dec.append(StageTrace(h, tanh_act(z), bn_cache))
-        else:
-            keep = None
-            if st.drop:
-                z, keep = dropout(z, rng)
-            dec.append(StageTrace(h, leaky_relu(z, out=z), bn_cache, keep))
-            h = concat_channels(dec[-1].out, enc[n - 2 - j].out)
-    return dec[-1].out, (enc, dec)
+        if st.drop:
+            z, keep = dropout(z, rng)
+        out = tanh_act(z) if i == 2 * n - 1 else leaky_relu(z, out=z)
+        trace.append(StageTrace(h, out, bn_cache, keep))
+        h = _join(i, n, out, kept)
+    return h, trace
 
 
 Affine = tuple[np.ndarray, np.ndarray] | None  # a stage's eval batch norm as (scale, shift); None without
@@ -348,23 +367,22 @@ def _forward_group(
     at a time. Each input runs alone through each GEMM, so an output does not
     depend on the other inputs. Only the skip features the decoder still
     needs are kept; batch norm and the activations run in place on each
-    stage's output, and dropout is skipped.
+    stage's output, and dropout is skipped. A stage output that is not
+    finite (finite weights near float32's limit can overflow) is refused,
+    naming the stage, because it would end as a wrong mask.
     """
     n = len(params.encoder)
-    skips: list[list[np.ndarray]] = [[] for _ in xs]
-    for i, (name, skeleton) in enumerate(params.named_stages()):
-        st, affine = read(name, skeleton)
-        for k, h in enumerate(xs):
-            if i < n:
-                h = _affine_act(conv2d_fwd(h, st.conv), affine, False)
-                if i < n - 1:  # the innermost output feeds dec1 directly
-                    skips[k].append(h)
-            else:
-                h = _affine_act(deconv2d_fwd(h, st.conv), affine, i == 2 * n - 1)
-                if skips[k]:
-                    h = concat_channels(h, skips[k].pop())
-            xs[k] = h
-        del st, affine  # before the next stage is read
+    kept: list[list[np.ndarray]] = [[] for _ in xs]
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow once
+        for i, (name, skeleton) in enumerate(params.named_stages()):
+            st, affine = read(name, skeleton)
+            op = conv2d_fwd if i < n else deconv2d_fwd
+            for k, h in enumerate(xs):
+                h = _affine_act(op(h, st.conv), affine, i == 2 * n - 1)
+                if not all_finite(h):
+                    raise ScrollbinError(f"stage {name!r} gives non-finite outputs")
+                xs[k] = _join(i, n, h, kept[k])
+            del st, affine  # before the next stage is read
     return xs
 
 
@@ -377,45 +395,32 @@ def forward(params: NetParams, x: np.ndarray) -> np.ndarray:
     return _forward_group(params, _eval_stage, [x])[0]
 
 
-def backward_stages(params: NetParams, cache, grad_out: np.ndarray):
+def backward_stages(params: NetParams, trace: list[StageTrace], grad_out: np.ndarray):
     """Backward of one cached training forward, one stage at a time.
 
-    Yields each stage's params, from the last decoder stage to the first
-    encoder stage, once that stage's backward has set their grads and read
-    their weights. No later stage's backward reads them, so the caller may
-    update the weights and drop the grads before resuming.
+    Walks named_stages from the last decoder stage back to the first encoder
+    stage, with _join_bwd as the skip rule's adjoint, and yields each stage's
+    params once that stage's backward has set their grads and read their
+    weights. No later stage's backward reads them, so the caller may update
+    the weights and drop the grads before resuming.
 
     Each parameter is used once per forward, so each gradient is written
     once, replacing whatever the previous backward left; nothing needs
     zeroing between steps.
     """
-    enc, dec = cache
+    stages = params.named_stages()
     n = len(params.encoder)
-    skip_grads: dict[int, np.ndarray] = {}
-
+    kept: list[np.ndarray] = []
     g = grad_out
-    for j in range(n - 1, -1, -1):
-        st, t = params.decoder[j], dec[j]
-        if j == n - 1:
-            gz = tanh_bwd(t.out, g)
-        else:
-            g_act, skip_grads[n - 2 - j] = split_channels(g, st.conv.weight.shape[1])
-            gz = leaky_relu_bwd(t.out, g_act)
-            if t.keep is not None:
-                gz = dropout_bwd(gz, t.keep)
+    for i in reversed(range(2 * n)):
+        (_, st), t = stages[i], trace[i]
+        g = _join_bwd(i, n, g, kept, st.conv.bias.shape[0])
+        gz = tanh_bwd(t.out, g) if i == 2 * n - 1 else leaky_relu_bwd(t.out, g)
+        if t.keep is not None:
+            gz = dropout_bwd(gz, t.keep)
         if st.bn is not None:
             gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
-        g = deconv2d_bwd(t.x, st.conv, gz)
-        yield _stage_params(st)
-
-    for i in range(n - 1, -1, -1):
-        st, t = params.encoder[i], enc[i]
-        if i in skip_grads:
-            g = g + skip_grads.pop(i)
-        gz = leaky_relu_bwd(t.out, g)
-        if st.bn is not None:
-            gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
-        g = conv2d_bwd(t.x, st.conv, gz)
+        g = (conv2d_bwd if i < n else deconv2d_bwd)(t.x, st.conv, gz)
         yield _stage_params(st)
 
 
@@ -628,8 +633,10 @@ class WeightsFile:
 
     def __init__(self, path):
         self.path = path
-        self._fh = open(path, "rb")
+        # Opened non-blocking, so that a FIFO with no writer opens at once for _index to refuse unread.
+        self._fh = open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK))
         try:
+            os.set_blocking(self._fh.fileno(), True)  # reads block as usual
             self._stat = os.fstat(self._fh.fileno())
             in_channels, step, entries = _index(self._fh, path, self._stat)
             # a name given twice: the last one counts, as a dict's would

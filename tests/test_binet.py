@@ -3,6 +3,7 @@ import io
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,20 +52,22 @@ def tiny_model(seed=5, in_channels=1, dropout=(), dtype=np.float32):
     )
 
 
-def e2e_check_fixture():
-    """Shrunken float64 network plus input/target for gradient checking.
+def e2e_check_fixture(n=len(TINY_ENC)):
+    """Shrunken float64 network of n stages a side plus input/target for gradient checking.
 
     Weights are rescaled well above the usual init so pre-activations land
     away from the LeakyReLU kink (verified by the caller).
     """
-    m = tiny_model(seed=32, dropout=(), dtype=np.float64)
+    m = build_model(1, 32, TINY_ENC[:n], TINY_DEC[-n:], dropout_stages=(), dtype=np.float64)
     rng = np.random.default_rng(132)
     for st in m.encoder + m.decoder:
         st.conv.weight.data *= 25.0
         st.conv.bias.data[:] = rng.normal(0, 0.3, st.conv.bias.data.shape)
-    x = rng.normal(0, 1, (1, 1, 16, 16))
-    target = np.where(rng.random((1, 1, 16, 16)) < 0.5, 0.75, -0.75)
+    size = m.patch
+    x = rng.normal(0, 1, (1, 1, size, size))
+    target = np.where(rng.random((1, 1, size, size)) < 0.5, 0.75, -0.75)
     return m, x, target
+
 
 
 def eval_stage_shapes(model, x, monkeypatch):
@@ -189,10 +192,11 @@ class TestForward:
         with pytest.raises(ScrollbinError):
             forward(m, np.zeros((1, 3, 16, 16), dtype=np.float32))
 
-    def test_eval_matches_float64_reference(self):
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_eval_matches_float64_reference(self, n):
         # Non-trivial running stats, so the eval batch-norm affine is exercised;
         # weights are scaled up so outputs spread over most of (-1, 1).
-        m = build_model(1, 41, encoder_channels=(8, 8, 8, 8), decoder_channels=(8, 8, 8, 1))
+        m = build_model(1, 41, encoder_channels=(8,) * n, decoder_channels=(8,) * (n - 1) + (1,))
         rng = np.random.default_rng(141)
         for stage in m.encoder + m.decoder:
             stage.conv.weight.data *= 10.0
@@ -203,7 +207,7 @@ class TestForward:
                 stage.bn.running_var[:] = rng.uniform(0.5, 2.0, ch)
                 stage.bn.gamma.data[:] = rng.normal(1, 0.2, ch)
                 stage.bn.beta.data[:] = rng.normal(0, 0.1, ch)
-        x = rng.uniform(-1, 1, (2, 1, 16, 16)).astype(np.float32)
+        x = rng.uniform(-1, 1, (2, 1, m.patch, m.patch)).astype(np.float32)
         ref = naive_binet_eval(m, x)
         out = forward(m, x)
         assert out.dtype == np.float32
@@ -213,10 +217,11 @@ class TestForward:
         flipped = (out < 0) != (ref < 0)
         assert np.all(np.abs(ref[flipped]) < tol)
 
-    def test_eval_runs_stages_through_module_names(self, monkeypatch):
-        # bench/spans.py times each forward stage by wrapping these two names
-        calls = {"conv2d_fwd": 0, "deconv2d_fwd": 0}
-        for name in calls:
+    @staticmethod
+    def counted_calls(monkeypatch, names):
+        """A dict of call counts, one per binet module name, each name wrapped to count its calls."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             original = getattr(binet, name)
 
             def counted(*args, _name=name, _original=original):
@@ -224,9 +229,24 @@ class TestForward:
                 return _original(*args)
 
             monkeypatch.setattr(binet, name, counted)
+        return calls
+
+    def test_eval_runs_stages_through_module_names(self, monkeypatch):
+        # bench/spans.py times each forward stage by wrapping these two names
+        calls = self.counted_calls(monkeypatch, ("conv2d_fwd", "deconv2d_fwd"))
         m = build_model(1, 3, encoder_channels=(2,) * 8, decoder_channels=(2,) * 7 + (1,))
         forward(m, np.zeros((1, 1, 256, 256), dtype=np.float32))
         assert calls == {"conv2d_fwd": 8, "deconv2d_fwd": 8}
+
+    def test_training_runs_stages_through_module_names(self, monkeypatch):
+        # bench/spans.py times each training stage, forward and backward, by wrapping these four names
+        calls = self.counted_calls(monkeypatch, ("conv2d_fwd", "deconv2d_fwd", "conv2d_bwd", "deconv2d_bwd"))
+        m = build_model(1, 3, encoder_channels=(2,) * 8, decoder_channels=(2,) * 7 + (1,))
+        rng = np.random.default_rng(24)
+        data = [(random_gray(rng, 256, 256), BinaryMask(rng.random((256, 256)) < 0.3))]
+        model, _ = train(data, TrainConfig(epochs=1, seed=1), init=m)
+        assert model.step == 1
+        assert calls == dict.fromkeys(calls, 8)
 
     def test_train_mode_with_dropout_needs_rng(self):
         m = tiny_model(dropout=(0,))
@@ -238,16 +258,17 @@ class TestForward:
 
 
 class TestEndToEndGradients:
-    def test_every_parameter_matches_finite_differences(self):
-        m, x, target = e2e_check_fixture()
-        out, cache = binet._forward_cached(m, x, None)
+    @pytest.mark.parametrize("n", [1, 2, 4])  # one stage a side has no skip, two have one
+    def test_every_parameter_matches_finite_differences(self, n):
+        m, x, target = e2e_check_fixture(n)
+        out, trace = binet._forward_cached(m, x, None)
 
         # the loss is piecewise linear and the activations have kinks: the
         # fixture must keep every pre-activation and every residual clear of
         # them by much more than the probe step
         eps = 1e-5
-        enc, dec = cache
-        min_kink = min(float(np.min(np.abs(t.out))) for t in enc + dec[:-1])
+        assert len(trace) == 2 * n
+        min_kink = min(float(np.min(np.abs(t.out))) for t in trace[:-1])
         assert min_kink > 50 * eps
         assert np.min(np.abs(out - target)) > 50 * eps
 
@@ -255,7 +276,7 @@ class TestEndToEndGradients:
             return l1_loss(binet._forward_cached(m, x, None)[0], target)[0]
 
         _, grad = l1_loss(out, target)
-        for _ in backward_stages(m, cache, grad):
+        for _ in backward_stages(m, trace, grad):
             pass
 
         worst = 0.0
@@ -777,6 +798,24 @@ class TestWeightsFormat:
         with pytest.raises(WeightsFormatError, match=message):
             binarize_image(m, read_pnm(page))
         assert main(["binarize", "--model", str(path), "--input", str(page), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_non_finite_stage_output_rejected(self, tmp_path, capsys):
+        # every value is finite, but dec2's 3e38 weights overflow float32 over inputs near 5
+        m = build_model(1, 3, encoder_channels=TINY_ENC, decoder_channels=TINY_DEC)
+        for st in m.encoder:
+            st.conv.bias.data[:] = 5.0
+        m.decoder[1].conv.weight.data[:] = 3e38
+        path, page, out = tmp_path / "m.bnet", tmp_path / "page.pgm", tmp_path / "out.pbm"
+        save_weights(m, path)
+        write_pnm(random_gray(np.random.default_rng(23), 40, 40), page)
+        message = "stage 'dec2' gives non-finite outputs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the check reports the overflow, not a numpy warning
+            with pytest.raises(ScrollbinError, match=message):
+                binarize_image(m, read_pnm(page))
+            assert main(["binarize", "--model", str(path), "--input", str(page), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

@@ -492,6 +492,12 @@ print(json.dumps(loaded))
 """
 
 
+def child_env() -> dict:
+    """The environment for a child Python that imports this scrollbin."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_only_scoring_loads_scipy(tmp_path, tiny_weights, capsys):
     """A fresh interpreter runs every non-scoring command without importing
     scipy; evaluate then loads it and prints what an in-process call prints."""
@@ -511,10 +517,8 @@ def test_only_scoring_loads_scipy(tmp_path, tiny_weights, capsys):
          "--out", str(tmp_path / "m.bnet")],
         ["evaluate", "--pred", pred, "--gt", gt, "--json"],
     ]
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(runs)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     *scores, report = proc.stdout.splitlines()
     assert json.loads(report) == {
@@ -582,6 +586,26 @@ class TestModelCommands:
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "at least 1" in errors[0]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["binarize", "train"])
+    def test_fifo_model_refused_without_blocking(self, tmp_path, command):
+        # opening a FIFO that nothing writes to can block, so the command runs in a child with a timeout
+        fifo = tmp_path / "model.bnet"
+        os.mkfifo(fifo)
+        page = write_gray(tmp_path / "a.pgm", np.zeros((16, 16)))
+        write_mask(tmp_path / "a.gt.pbm", np.zeros((16, 16)))
+        out = tmp_path / "out"
+        argv = {
+            "binarize": ["binarize", "--model", str(fifo), "--input", page, "--out", str(out)],
+            "train": ["train", "--data", str(tmp_path), "--mode", "gray", "--init", str(fifo), "--epochs", "1",
+                      "--out", str(out)],
+        }[command]
+        proc = subprocess.run([sys.executable, "-m", "scrollbin.cli", *argv],
+                              capture_output=True, text=True, env=child_env(), timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {fifo}: not a regular file\n"
+        assert proc.stdout == ""
+        assert not out.exists()
 
     def test_train_requires_matching_gt(self, tmp_path):
         write_gray(tmp_path / "a.pgm", np.zeros((16, 16)))
