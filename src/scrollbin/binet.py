@@ -69,13 +69,13 @@ _MAX_TENSOR_ELEMS = 1 << 28
 
 @dataclass
 class Stage:
+    name: str  # enc1..encN or dec1..decN: the prefix of its tensors' names in a .bnet file
     conv: ConvParams  # a decoder stage's weight is the adjoint (stage input ch, stage output ch, 4, 4)
     bn: BatchNormParams | None
     drop: bool = False
 
-
-def _stage_params(st: Stage) -> list[Param]:
-    return st.conv.params() + (st.bn.params() if st.bn is not None else [])
+    def params(self) -> list[Param]:
+        return self.conv.params() + (self.bn.params() if self.bn is not None else [])
 
 
 @dataclass
@@ -102,38 +102,34 @@ class NetParams:
     """
 
     in_channels: int
-    encoder: list[Stage]
-    decoder: list[Stage]
+    stages: list[Stage]  # in forward order: enc1..encN, then dec1..decN
     step: int = 0
 
     @property
+    def depth(self) -> int:
+        """N, the stages on each side: the first N convolve, the last N transpose."""
+        return len(self.stages) // 2
+
+    @property
     def patch(self) -> int:
-        return 1 << len(self.encoder)
+        return 1 << self.depth
 
     def params(self) -> list[Param]:
-        return [p for st in self.encoder + self.decoder for p in _stage_params(st)]
+        return [p for st in self.stages for p in st.params()]
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params())
 
-    def named_stages(self) -> list[tuple[str, Stage]]:
-        """Each stage with its name, in forward order: enc1..encN, then dec1..decN."""
-        return [
-            (f"{prefix}{i}", st)
-            for prefix, stages in (("enc", self.encoder), ("dec", self.decoder))
-            for i, st in enumerate(stages, start=1)
-        ]
-
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         out = []
-        for name, st in self.named_stages():
-            out.append((f"{name}.conv.weight", st.conv.weight.data))
-            out.append((f"{name}.conv.bias", st.conv.bias.data))
+        for st in self.stages:
+            out.append((f"{st.name}.conv.weight", st.conv.weight.data))
+            out.append((f"{st.name}.conv.bias", st.conv.bias.data))
             if st.bn is not None:
-                out.append((f"{name}.bn.gamma", st.bn.gamma.data))
-                out.append((f"{name}.bn.beta", st.bn.beta.data))
-                out.append((f"{name}.bn.running_mean", st.bn.running_mean))
-                out.append((f"{name}.bn.running_var", st.bn.running_var))
+                out.append((f"{st.name}.bn.gamma", st.bn.gamma.data))
+                out.append((f"{st.name}.bn.beta", st.bn.beta.data))
+                out.append((f"{st.name}.bn.running_mean", st.bn.running_mean))
+                out.append((f"{st.name}.bn.running_var", st.bn.running_var))
         return out
 
 
@@ -147,6 +143,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ScrollbinError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ScrollbinError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:
             raise ScrollbinError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
@@ -185,14 +183,14 @@ def _assemble(
     def stage(name: str, weight_shape: tuple[int, ...], ch: int, drop: bool = False) -> Stage:
         return _stage(name, take, weight_shape, ch, has_bn(name), drop)
 
-    encoder, decoder, given = [], [], in_channels
+    stages, given = [], in_channels
     for i, ch in enumerate(encoder_channels, start=1):
-        encoder.append(stage(f"enc{i}", (ch, given, KERNEL, KERNEL), ch))
+        stages.append(stage(f"enc{i}", (ch, given, KERNEL, KERNEL), ch))
         given = ch
     for j, ch in enumerate(decoder_channels, start=1):
-        decoder.append(stage(f"dec{j}", (given, ch, KERNEL, KERNEL), ch, j - 1 in drops and j < n))
+        stages.append(stage(f"dec{j}", (given, ch, KERNEL, KERNEL), ch, j - 1 in drops and j < n))
         given = ch + (encoder_channels[n - 1 - j] if j < n else 0)
-    return NetParams(in_channels, encoder, decoder)
+    return NetParams(in_channels, stages)
 
 
 def _stage(
@@ -211,7 +209,7 @@ def _stage(
         norm = BatchNormParams(take(f"{name}.bn.gamma", out), take(f"{name}.bn.beta", out))
         norm.running_mean = take(f"{name}.bn.running_mean", out)
         norm.running_var = take(f"{name}.bn.running_var", out)
-    return Stage(conv, norm, drop)
+    return Stage(name, conv, norm, drop)
 
 
 def build_model(
@@ -265,7 +263,7 @@ def _check_input(params: NetParams, x: np.ndarray):
 
 
 def _join(i: int, n: int, h: np.ndarray, kept: list[np.ndarray]) -> np.ndarray:
-    """The skip rule at stage i of the 2n in named_stages order: its output h as the next stage takes it.
+    """The skip rule at stage i of the 2n in params.stages: its output h as the next stage takes it.
 
     Each encoder stage but the innermost keeps its output in kept; each
     decoder stage but the last joins its output with the most recently kept
@@ -293,23 +291,22 @@ def _join_bwd(i: int, n: int, g: np.ndarray, kept: list[np.ndarray], channels: i
 
 
 def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator | None):
-    """Training forward returning (output, one StageTrace per stage in named_stages order).
+    """Training forward returning (output, one StageTrace per stage in forward order).
 
-    One walk over named_stages: stage i < n convolves, the others transpose,
+    One walk over params.stages: stage i < n convolves, the others transpose,
     the last ends in tanh, and _join passes each output on. Batch norm
     normalizes by the batch statistics and updates the running ones; stages
     with dropout draw their masks from rng, which may be None only for a
     model without dropout.
     """
     _check_input(params, x)
-    stages = params.named_stages()
-    if rng is None and any(st.drop for _, st in stages):
+    if rng is None and any(st.drop for st in params.stages):
         raise ScrollbinError("training forward needs an RNG for dropout masks")
-    n = len(params.encoder)
+    n = params.depth
     trace: list[StageTrace] = []
     kept: list[np.ndarray] = []
     h = x
-    for i, (_, st) in enumerate(stages):
+    for i, st in enumerate(params.stages):
         z = (conv2d_fwd if i < n else deconv2d_fwd)(h, st.conv)
         bn_cache = keep = None
         if st.bn is not None:
@@ -325,24 +322,20 @@ def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator |
 Affine = tuple[np.ndarray, np.ndarray] | None  # a stage's eval batch norm as (scale, shift); None without
 
 
-def _eval_affine(name: str, st: Stage) -> Affine:
-    """Stage name's batch norm as its eval affine, computed once for every patch that runs it.
+def _eval_stage(st: Stage) -> tuple[Stage, Affine]:
+    """st with its batch norm as its eval affine, computed once for every patch that runs it.
 
-    A gamma near float32's limit over a running variance near 0 overflows
-    the scale; that would turn every output into NaN, so it is refused.
+    This is the stage reader of a model held in memory. A gamma near
+    float32's limit over a running variance near 0 overflows the scale;
+    that would turn every output into NaN, so it is refused.
     """
     if st.bn is None:
-        return None
+        return st, None
     with np.errstate(all="ignore"):  # the check below reports an overflow once
         scale, shift = batchnorm_eval_affine(st.bn)
     if not (np.isfinite(scale).all() and np.isfinite(shift).all()):
-        raise WeightsFormatError(f"stage {name!r} has a non-finite batch-norm eval scale or shift")
-    return scale, shift
-
-
-def _eval_stage(name: str, st: Stage) -> tuple[Stage, Affine]:
-    """The stage reader of a model held in memory."""
-    return st, _eval_affine(name, st)
+        raise WeightsFormatError(f"stage {st.name!r} has a non-finite batch-norm eval scale or shift")
+    return st, (scale, shift)
 
 
 def _affine_act(z: np.ndarray, affine: Affine, last: bool) -> np.ndarray:
@@ -357,11 +350,11 @@ def _affine_act(z: np.ndarray, affine: Affine, last: bool) -> np.ndarray:
 
 
 def _forward_group(
-    params: NetParams, read: Callable[[str, Stage], tuple[Stage, Affine]], xs: list[np.ndarray]
+    params: NetParams, read: Callable[[Stage], tuple[Stage, Affine]], xs: list[np.ndarray]
 ) -> list[np.ndarray]:
     """The eval forward of every input in xs, stage-major; xs is consumed and returned as the outputs.
 
-    read(name, stage) gives each of params' stages, in forward order, with
+    read(stage) gives each of params.stages, in forward order, with
     its eval affine, and every input runs through that stage before the next
     one is read; the stage is dropped first, so one stage's weights are held
     at a time. Each input runs alone through each GEMM, so an output does not
@@ -371,16 +364,16 @@ def _forward_group(
     finite (finite weights near float32's limit can overflow) is refused,
     naming the stage, because it would end as a wrong mask.
     """
-    n = len(params.encoder)
+    n = params.depth
     kept: list[list[np.ndarray]] = [[] for _ in xs]
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow once
-        for i, (name, skeleton) in enumerate(params.named_stages()):
-            st, affine = read(name, skeleton)
+        for i, skeleton in enumerate(params.stages):
+            st, affine = read(skeleton)
             op = conv2d_fwd if i < n else deconv2d_fwd
             for k, h in enumerate(xs):
                 h = _affine_act(op(h, st.conv), affine, i == 2 * n - 1)
                 if not all_finite(h):
-                    raise ScrollbinError(f"stage {name!r} gives non-finite outputs")
+                    raise ScrollbinError(f"stage {st.name!r} gives non-finite outputs")
                 xs[k] = _join(i, n, h, kept[k])
             del st, affine  # before the next stage is read
     return xs
@@ -398,7 +391,7 @@ def forward(params: NetParams, x: np.ndarray) -> np.ndarray:
 def backward_stages(params: NetParams, trace: list[StageTrace], grad_out: np.ndarray):
     """Backward of one cached training forward, one stage at a time.
 
-    Walks named_stages from the last decoder stage back to the first encoder
+    Walks params.stages from the last decoder stage back to the first encoder
     stage, with _join_bwd as the skip rule's adjoint, and yields each stage's
     params once that stage's backward has set their grads and read their
     weights. No later stage's backward reads them, so the caller may update
@@ -408,12 +401,11 @@ def backward_stages(params: NetParams, trace: list[StageTrace], grad_out: np.nda
     once, replacing whatever the previous backward left; nothing needs
     zeroing between steps.
     """
-    stages = params.named_stages()
-    n = len(params.encoder)
+    n = params.depth
     kept: list[np.ndarray] = []
     g = grad_out
     for i in reversed(range(2 * n)):
-        (_, st), t = stages[i], trace[i]
+        st, t = params.stages[i], trace[i]
         g = _join_bwd(i, n, g, kept, st.conv.bias.shape[0])
         gz = tanh_bwd(t.out, g) if i == 2 * n - 1 else leaky_relu_bwd(t.out, g)
         if t.keep is not None:
@@ -421,7 +413,7 @@ def backward_stages(params: NetParams, trace: list[StageTrace], grad_out: np.nda
         if st.bn is not None:
             gz = batchnorm_bwd(st.bn, t.bn_cache, gz)
         g = (conv2d_bwd if i < n else deconv2d_bwd)(t.x, st.conv, gz)
-        yield _stage_params(st)
+        yield st.params()
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +463,8 @@ def train(dataset: list, cfg: TrainConfig, init: NetParams | None = None) -> tup
     one mean-L1 entry per epoch. Passing init warm-starts from an existing
     model: weights and the lifetime step counter continue, while the Adam
     moment buffers start fresh. A fresh model takes the first image's channels.
+    A run that would bring the step counter to 2**64, which the weights file's
+    u64 cannot hold, is refused before its first step.
     """
     if not dataset:
         raise ScrollbinError("training dataset is empty")
@@ -478,6 +472,9 @@ def train(dataset: list, cfg: TrainConfig, init: NetParams | None = None) -> tup
 
     for sample in dataset:
         _check_pair(sample, model)
+    steps = cfg.epochs * -(-len(dataset) // cfg.batch_size)
+    if model.step + steps >= 1 << 64:
+        raise ScrollbinError(f"step count {model.step} + {steps} planned reaches 2**64, past a weights file's u64")
     rng = np.random.default_rng(cfg.seed)
     params = model.params()
     state = AdamState(params)
@@ -556,11 +553,11 @@ def binarize_image(source: NetParams | WeightsFile, img: GrayImage | RgbImage) -
 
 
 def save_weights(params: NetParams, path) -> None:
-    """Write the header, then each tensor straight from its array."""
+    """Write the header, packed before the file opens so a value it cannot hold writes nothing, then each tensor."""
     tensors = params.named_tensors()
+    header = struct.pack("<4sIIQI", WEIGHTS_MAGIC, WEIGHTS_VERSION, params.in_channels, params.step, len(tensors))
     with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<IIQI", WEIGHTS_VERSION, params.in_channels, params.step, len(tensors)))
+        fh.write(header)
         for name, arr in tensors:
             encoded = name.encode("utf-8")
             head = struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape)
@@ -684,16 +681,15 @@ class WeightsFile:
             raise WeightsFormatError(f"tensor {name!r} has negative values")
         return arr
 
-    def read_stage(self, name: str, skeleton: Stage) -> tuple[Stage, Affine]:
-        """Stage name of `model`, its values read and checked, with its eval affine."""
+    def read_stage(self, skeleton: Stage) -> tuple[Stage, Affine]:
+        """The stage of `model` that skeleton is, its values read and checked, with its eval affine."""
         now = os.fstat(self._fh.fileno())
         if (now.st_size, now.st_mtime_ns) != (self._stat.st_size, self._stat.st_mtime_ns):
             raise WeightsFormatError(f"{self.path}: file changed while it was read")
-        st = _stage(
-            name, self._take, skeleton.conv.weight.shape, skeleton.conv.bias.shape[0], skeleton.bn is not None,
-            skeleton.drop,
-        )
-        return st, _eval_affine(name, st)
+        return _eval_stage(_stage(
+            skeleton.name, self._take, skeleton.conv.weight.shape, skeleton.conv.bias.shape[0],
+            skeleton.bn is not None, skeleton.drop,
+        ))
 
 
 def load_weights(path) -> NetParams:
@@ -704,9 +700,8 @@ def load_weights(path) -> NetParams:
     """
     with WeightsFile(path) as weights:
         model = weights.model
-        stages = [weights.read_stage(name, st)[0] for name, st in model.named_stages()]
-    n = len(model.encoder)
-    return NetParams(model.in_channels, stages[:n], stages[n:], model.step)
+        model.stages = [weights.read_stage(st)[0] for st in model.stages]
+    return model
 
 
 def _ladder(shapes: dict[str, tuple[int, ...]], prefix: str, out_axis: int) -> tuple[int, ...]:

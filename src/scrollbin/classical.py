@@ -136,12 +136,13 @@ def _window_sums(prefix, a: int, t: int, half: int, size: int, out):
 
 
 def _local_threshold(img: GrayImage, window: int, threshold) -> BinaryMask:
-    """Ink iff value <= threshold(mean, std) of the pixel's edge-clamped window.
+    """Ink iff value <= threshold(mean, std) of the pixel's edge-clamped window; threshold may overwrite std.
 
     Each TILE x TILE tile sums its values and their squares down the rows and
     then across the columns, as exact int64 prefix sums, so memory is
     O((TILE + window)^2) whatever the page size. The variance is clamped at 0
-    to absorb the roundoff of the mean-square subtraction.
+    to absorb the roundoff of the mean-square subtraction. A threshold past
+    float64's range is the +-inf it tends to, and keeps every pixel or none.
     """
     half = _check_window(window)
     h, w = img.pixels.shape
@@ -162,7 +163,8 @@ def _local_threshold(img: GrayImage, window: int, threshold) -> BinaryMask:
         count = (y1 - y0)[r:s, None] * (x1 - x0)[None, a:b]
         mean = total / count
         var = np.maximum(total_sq / count - mean * mean, 0.0)
-        ink[r:s, a:b] = img.pixels[r:s, a:b] <= threshold(mean, np.sqrt(var))
+        with np.errstate(over="ignore"):
+            ink[r:s, a:b] = img.pixels[r:s, a:b] <= threshold(mean, np.sqrt(var))
     return BinaryMask(ink)
 
 
@@ -175,12 +177,21 @@ def niblack(img: GrayImage, window: int = DEFAULT_WINDOW, k: float = NIBLACK_K) 
 def sauvola(
     img: GrayImage, window: int = DEFAULT_WINDOW, k: float = SAUVOLA_K, r: float = SAUVOLA_R
 ) -> BinaryMask:
-    """Sauvola local threshold T = m * (1 + k*(s/R - 1)); ink iff value <= T."""
+    """Sauvola local threshold T = m * (1 + k*(s/R - 1)); ink iff value <= T.
+
+    s/R is clamped to float64's largest value, so that at k = 0 T stays the
+    window mean however small R is, rather than 0 * inf = NaN.
+    """
     _check_finite("k", k)
     _check_finite("R", r)
     if r <= 0:
         raise ScrollbinError(f"R must be positive, got {r}")
-    return _local_threshold(img, window, lambda mean, std: mean * (1.0 + k * (std / r - 1.0)))
+
+    def threshold(mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+        ratio = np.minimum(np.divide(std, r, out=std), np.finfo(np.float64).max, out=std)  # std is not read again
+        return mean * (1.0 + k * (ratio - 1.0))
+
+    return _local_threshold(img, window, threshold)
 
 
 # ---------------------------------------------------------------------------

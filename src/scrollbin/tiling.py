@@ -60,7 +60,7 @@ def _pad_array(arr: np.ndarray, pad_h: int, pad_w: int, mode: str) -> np.ndarray
     raise ScrollbinError(f"unknown pad mode {mode!r}; expected one of {PAD_MODES}")
 
 
-def split(img: Image, patch_size: int = 256, pad_mode: str = "replicate") -> PatchGrid:
+def split(img: Image, patch_size: int, pad_mode: str = "replicate") -> PatchGrid:
     """Tile an image into a PatchGrid of patch_size squares."""
     if patch_size < 1:
         raise ScrollbinError(f"patch_size must be >= 1, got {patch_size}")

@@ -74,13 +74,13 @@ def naive_binet_eval(params, x):
             z = z * col(bn.gamma.data) + col(bn.beta.data)
         return np.tanh(z) if last else np.where(z > 0, z, 0.2 * z)
 
-    n = len(params.encoder)
+    n = len(params.stages) // 2
     feats = []
     h = f64(x)
-    for st in params.encoder:
+    for st in params.stages[:n]:
         h = norm_act(naive_conv2d(h, f64(st.conv.weight.data), f64(st.conv.bias.data)), st.bn, False)
         feats.append(h)
-    for j, st in enumerate(params.decoder):
+    for j, st in enumerate(params.stages[n:]):
         z = naive_deconv2d(h, f64(st.conv.weight.data), f64(st.conv.bias.data))
         h = norm_act(z, st.bn, j == n - 1)
         if j < n - 1:

@@ -343,7 +343,7 @@ def test_criterion_09_serialization(tmp_path):
     model = binet.build_model(
         3, seed=int(rng.integers(1 << 30)), encoder_channels=(8, 4, 2, 1), decoder_channels=(2, 4, 8, 1)
     )
-    for st in model.encoder + model.decoder:
+    for st in model.stages:
         if st.bn is not None:
             st.bn.running_mean += rng.normal(0, 1, st.bn.channels).astype(np.float32)
             st.bn.running_var[:] = rng.random(st.bn.channels).astype(np.float32) + 0.1

@@ -143,6 +143,24 @@ class TestSauvola:
         with pytest.raises(ScrollbinError):
             sauvola(gray(np.zeros((8, 8))), window=3, r=0.0)
 
+    def test_k_zero_is_the_window_mean_at_any_r(self):
+        # s/R overflowed to inf at a tiny R, and 0 * inf = NaN left no ink
+        img = gray(np.random.default_rng(40).integers(0, 256, (40, 50)))
+        mask = sauvola(img, window=15, k=0.0, r=1e-308)
+        assert mask.ink.any()
+        assert np.array_equal(mask.ink, sauvola(img, window=15, k=0.0, r=1.0).ink)
+
+
+@pytest.mark.parametrize(
+    "method, params, ink",
+    [(niblack, {"k": 1e308}, True), (niblack, {"k": -1e308}, False),
+     (sauvola, {"k": 2.0, "r": 1e-308}, True), (sauvola, {"k": -2.0, "r": 1e-308}, False)],
+)
+def test_overflowing_threshold_is_its_infinite_limit(method, params, ink):
+    # every window varies, so T overflows everywhere; an overflow warning is an error in this suite
+    img = gray(np.random.default_rng(41).integers(0, 256, (20, 30)))
+    assert (method(img, window=5, **params).ink == ink).all()
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(

@@ -691,7 +691,7 @@ class TestModelCommands:
         "flag, value, reason",
         [("--holdout", "2", "--holdout must be in [0, 1)"), ("--holdout", "nan", "--holdout must be in [0, 1)"),
          ("--epochs", "0", "epochs must be >= 1"), ("--lr", "-1", "lr must be positive and finite"),
-         ("--batch", "0", "batch_size must be >= 1")],
+         ("--batch", "0", "batch_size must be >= 1"), ("--seed", "-1", "seed must be >= 0")],
     )
     @pytest.mark.parametrize("init", ["missing", "corrupt"])
     def test_bad_flag_value_rejected_before_loading(self, tmp_path, capsys, flag, value, reason, init):
@@ -705,6 +705,25 @@ class TestModelCommands:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+
+    @pytest.mark.parametrize("step, code", [(2**64 - 2, 0), (2**64 - 1, 2)])
+    def test_step_count_kept_below_u64_limit(self, tmp_path, capsys, step, code):
+        # the tiny model takes 16x16 patches: one training step per epoch
+        model = binet.build_model(1, 5, encoder_channels=(8, 4, 2, 1), decoder_channels=(2, 4, 8, 1))
+        model.step = step
+        init, out, data = tmp_path / "init.bnet", tmp_path / "m.bnet", tmp_path / "data"
+        binet.save_weights(model, init)
+        data.mkdir()
+        write_gray(data / "a.pgm", np.random.default_rng(12).integers(0, 256, (16, 16)))
+        write_mask(data / "a.gt.pbm", np.eye(16, dtype=bool))
+        argv = ["train", "--data", str(data), "--mode", "gray", "--init", str(init), "--epochs", "1", "--out", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert binet.load_weights(out).step == 2**64 - 1
+        else:
+            assert err == [f"error: step count {step} + 1 planned reaches 2**64, past a weights file's u64"]
+            assert not out.exists()
 
     def test_holdout_reports_loss(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
