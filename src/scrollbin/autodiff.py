@@ -20,6 +20,14 @@ batchnorm_fwd and dropout are the training forms only: inference uses
 batchnorm_eval_affine and skips dropout. The pix2pix settings are constants
 written once: the LeakyReLU slope LEAK, DROPOUT_RATE, batch norm's momentum
 and eps on BatchNormParams, and Adam's ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+
+The ops check no shapes: each shape rule has one owner upstream.
+binet._assemble, which binet._rebuild runs for a weights file, owns the
+weights and the skip wiring; binet._check_input owns forward's input and
+binet._check_pair each training pair. An op called with shapes that do not
+fit is a programming error, which numpy reports where they cannot broadcast.
+Only what a weights file can reach is checked: batch norm over one element
+per channel (a 1x1 stage at batch 1) and params that adam_step cannot update.
 """
 
 from __future__ import annotations
@@ -67,20 +75,8 @@ class ConvParams:
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
-        if weight.ndim != 4 or weight.shape[2:] != (KERNEL, KERNEL):
-            raise ScrollbinError(f"conv weight must be (o, i, {KERNEL}, {KERNEL}), got {weight.shape}")
-        if bias.ndim != 1:
-            raise ScrollbinError(f"conv bias must be rank 1, got shape {bias.shape}")
         self.weight = Param(weight)
         self.bias = Param(bias)
-
-    @property
-    def out_ch(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_ch(self) -> int:
-        return self.weight.shape[1]
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
@@ -93,8 +89,6 @@ class BatchNormParams:
     eps = 1e-5
 
     def __init__(self, gamma: np.ndarray, beta: np.ndarray):
-        if gamma.shape != beta.shape or gamma.ndim != 1:
-            raise ScrollbinError("batchnorm gamma/beta must be matching rank-1 arrays")
         self.gamma = Param(gamma)
         self.beta = Param(beta)
         self.running_mean = np.zeros_like(gamma)
@@ -192,11 +186,6 @@ def _corr_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def conv2d_fwd(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    b, c, h, w = x.shape
-    if c != p.in_ch:
-        raise ScrollbinError(f"conv input has {c} channels, weights expect {p.in_ch}")
-    if h % 2 or w % 2 or h < 2 or w < 2:
-        raise ScrollbinError(f"conv input spatial dims must be even and >= 2, got {h}x{w}")
     out = _corr(x, p.weight.data)
     out += p.bias.data[None, :, None, None]
     return out
@@ -204,9 +193,6 @@ def conv2d_fwd(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 def conv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray:
     """Sets p's weight/bias grads and returns the input gradient."""
-    expect = (x.shape[0], p.out_ch, x.shape[2] // 2, x.shape[3] // 2)
-    if grad_out.shape != expect:
-        raise ScrollbinError(f"conv grad_out shape {grad_out.shape}, expected {expect}")
     p.weight.grad = _corr_weight_grad(_im2col(x)[0], grad_out, x.shape[1])
     p.bias.grad = grad_out.sum(axis=(0, 2, 3))
     return _corr_input_grad(grad_out, p.weight.data)
@@ -218,9 +204,6 @@ def conv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray
 
 
 def deconv2d_fwd(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    c = x.shape[1]
-    if c != p.weight.shape[0]:
-        raise ScrollbinError(f"deconv input has {c} channels, weights expect {p.weight.shape[0]}")
     out = _corr_input_grad(x, p.weight.data)
     out += p.bias.data[None, :, None, None]
     return out
@@ -228,11 +211,8 @@ def deconv2d_fwd(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 def deconv2d_bwd(x: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray:
     """Sets p's weight/bias grads and returns the input gradient."""
-    expect_ch = p.weight.shape[1]
-    if grad_out.shape[1] != expect_ch:
-        raise ScrollbinError(f"deconv grad_out has {grad_out.shape[1]} channels, expected {expect_ch}")
     im = _im2col(grad_out)  # both GEMMs read grad_out's columns
-    p.weight.grad = _corr_weight_grad(im[0], x, expect_ch)
+    p.weight.grad = _corr_weight_grad(im[0], x, p.weight.shape[1])
     p.bias.grad = grad_out.sum(axis=(0, 2, 3))
     return _corr(grad_out, p.weight.data, im)
 
@@ -249,8 +229,6 @@ def batchnorm_fwd(x: np.ndarray, p: BatchNormParams) -> tuple[np.ndarray, tuple]
     running estimates toward them. The running statistics are only written,
     never read, so out and cache do not depend on them.
     """
-    if x.shape[1] != p.channels:
-        raise ScrollbinError(f"batchnorm expects {p.channels} channels, got {x.shape[1]}")
     gamma = p.gamma.data[None, :, None, None]
     beta = p.beta.data[None, :, None, None]
 
@@ -349,8 +327,6 @@ def dropout_bwd(grad_out: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ScrollbinError(f"concat needs matching batch/spatial dims, got {a.shape} vs {b.shape}")
     return np.concatenate([a, b], axis=1)
 
 
@@ -360,8 +336,6 @@ def split_channels(grad: np.ndarray, first_channels: int) -> tuple[np.ndarray, n
 
 def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean absolute error and its gradient wrt pred; sign(0) contributes 0."""
-    if pred.shape != target.shape:
-        raise ScrollbinError(f"l1_loss shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred - target
     loss = float(np.abs(diff).mean(dtype=np.float64))
     grad = np.sign(diff) / diff.size

@@ -290,18 +290,15 @@ def _join_bwd(i: int, n: int, g: np.ndarray, kept: list[np.ndarray], channels: i
     return g
 
 
-def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator | None):
+def _forward_cached(params: NetParams, x: np.ndarray, rng: np.random.Generator):
     """Training forward returning (output, one StageTrace per stage in forward order).
 
     One walk over params.stages: stage i < n convolves, the others transpose,
     the last ends in tanh, and _join passes each output on. Batch norm
     normalizes by the batch statistics and updates the running ones; stages
-    with dropout draw their masks from rng, which may be None only for a
-    model without dropout.
+    with dropout draw their masks from rng. x stacks images that _check_pair
+    has passed.
     """
-    _check_input(params, x)
-    if rng is None and any(st.drop for st in params.stages):
-        raise ScrollbinError("training forward needs an RNG for dropout masks")
     n = params.depth
     trace: list[StageTrace] = []
     kept: list[np.ndarray] = []
@@ -434,8 +431,6 @@ def mask_to_target(mask: BinaryMask) -> np.ndarray:
 
 def denormalize_output(out: np.ndarray) -> BinaryMask:
     """Threshold one network output (1, 1, H, W): ink iff value < 0."""
-    if out.ndim != 4 or out.shape[0] != 1 or out.shape[1] != 1:
-        raise ScrollbinError(f"expected a (1, 1, H, W) output, got {out.shape}")
     return BinaryMask(out[0, 0] < 0.0)
 
 

@@ -200,11 +200,11 @@ def test_criterion_03_gradient_correctness():
 
     # shrunken end-to-end network: every parameter
     m, x, target = e2e_check_fixture()
-    out, cache = binet._forward_cached(m, x, None)
+    out, cache = binet._forward_cached(m, x, np.random.default_rng(0))
     _, grad = l1_loss(out, target)
     for _ in binet.backward_stages(m, cache, grad):
         pass
-    loss = lambda: l1_loss(binet._forward_cached(m, x, None)[0], target)[0]
+    loss = lambda: l1_loss(binet._forward_cached(m, x, np.random.default_rng(0))[0], target)[0]
     worst = 0.0
     for p in m.params():
         worst = max(worst, max_rel_err(p.grad, fd_gradient(loss, p.data, eps=1e-5), floor=1e-7))

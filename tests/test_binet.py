@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import fd_gradient, max_rel_err, naive_binet_eval
 
 from scrollbin import binet
-from scrollbin.autodiff import CHUNK, AdamState, Param, adam_step, l1_loss
+from scrollbin.autodiff import CHUNK, AdamState, BatchNormParams, Param, adam_step, l1_loss
 from scrollbin.binet import (
     ENCODER_CHANNELS,
     GROUP,
@@ -263,8 +263,6 @@ class TestForward:
     def test_train_mode_with_dropout_needs_rng(self):
         m = tiny_model(dropout=(0,))
         x = np.zeros((1, 1, 16, 16), dtype=np.float32)
-        with pytest.raises(ScrollbinError):
-            binet._forward_cached(m, x, None)
         out, _ = binet._forward_cached(m, x, np.random.default_rng(0))
         assert out.shape == (1, 1, 16, 16)
 
@@ -273,7 +271,7 @@ class TestEndToEndGradients:
     @pytest.mark.parametrize("n", [1, 2, 4])  # one stage a side has no skip, two have one
     def test_every_parameter_matches_finite_differences(self, n):
         m, x, target = e2e_check_fixture(n)
-        out, trace = binet._forward_cached(m, x, None)
+        out, trace = binet._forward_cached(m, x, np.random.default_rng(0))
 
         # the loss is piecewise linear and the activations have kinks: the
         # fixture must keep every pre-activation and every residual clear of
@@ -285,7 +283,7 @@ class TestEndToEndGradients:
         assert np.min(np.abs(out - target)) > 50 * eps
 
         def loss():
-            return l1_loss(binet._forward_cached(m, x, None)[0], target)[0]
+            return l1_loss(binet._forward_cached(m, x, np.random.default_rng(0))[0], target)[0]
 
         _, grad = l1_loss(out, target)
         for _ in backward_stages(m, trace, grad):
@@ -877,6 +875,15 @@ class TestWeightsFormat:
         ]
         path, page, out = tmp_path / "m.bnet", tmp_path / "page.pgm", tmp_path / "out.pbm"
         write_pnm(GrayImage(np.zeros((8, 8), np.uint8)), page)
+        # page and its ground truth make tmp_path a training set that an intact model trains on
+        write_pnm(BinaryMask(np.eye(8, dtype=bool)), tmp_path / "page.gt.pbm")
+        trained = tmp_path / "trained.bnet"
+        train_argv = ["train", "--data", str(tmp_path), "--mode", "gray", "--init", str(path), "--epochs", "1",
+                      "--out", str(trained)]
+        save_weights(build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1)), path)
+        assert main(train_argv) == 0
+        trained.unlink()
+        capsys.readouterr()
         for name, shape, message in cases:
             m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
             decoder = name.startswith("dec")
@@ -890,6 +897,28 @@ class TestWeightsFormat:
             assert main(["binarize", "--model", str(path), "--input", str(page), "--out", str(out)]) == 2
             assert capsys.readouterr().err == f"error: tensor {name!r} {message}\n"
             assert not out.exists()
+            assert main(train_argv) == 2
+            assert capsys.readouterr().err == f"error: tensor {name!r} {message}\n"
+            assert not trained.exists()
+
+    def test_batchnorm_on_innermost_stage_binarizes_but_cannot_train_at_batch_one(self, tmp_path, capsys):
+        # a file may put batch norm on any stage; on the 1x1 one, batch 1 gives one element per channel
+        m = build_model(1, 3, encoder_channels=(4, 4, 4), decoder_channels=(4, 4, 1))
+        stage(m, "enc3").bn = BatchNormParams(np.ones(4, np.float32), np.zeros(4, np.float32))
+        path, page, out = tmp_path / "m.bnet", tmp_path / "page.pgm", tmp_path / "out.pbm"
+        save_weights(m, path)
+        rng = np.random.default_rng(27)
+        write_pnm(random_gray(rng, 8, 8), page)
+        write_pnm(BinaryMask(rng.random((8, 8)) < 0.3), tmp_path / "page.gt.pbm")
+        assert main(["binarize", "--model", str(path), "--input", str(page), "--out", str(out)]) == 0
+        assert out.exists()
+        trained = tmp_path / "trained.bnet"
+        argv = ["train", "--data", str(tmp_path), "--mode", "gray", "--init", str(path), "--epochs", "1",
+                "--batch", "1", "--out", str(trained)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: batchnorm train mode needs more than one element per channel\n"
+        assert not trained.exists()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -946,6 +975,12 @@ class TestWeightsFormat:
         size = loaded.patch
         out = forward(loaded, np.zeros((1, loaded.in_channels, size, size), np.float32))
         assert out.shape == (1, 1, size, size) and np.isfinite(out).all()
+        # and must train or be refused, with no numpy error: the ops trust the shapes load checked
+        rng = np.random.default_rng(29)
+        patch = RgbImage(rng.integers(0, 256, (size, size, 3), dtype=np.uint8))
+        pair = (patch if loaded.in_channels == 3 else to_grayscale(patch), BinaryMask(rng.random((size, size)) < 0.3))
+        with contextlib.suppress(ScrollbinError):
+            train([pair], TrainConfig(epochs=1, seed=1), init=loaded)
 
     def test_netparams_metadata(self):
         m = tiny_model(seed=123)
