@@ -379,7 +379,7 @@ class AdamState:
         return self._scratch[dtype]
 
 
-def adam_step(params: list[Param], state: AdamState, lr: float = 2e-4) -> None:
+def adam_step(params: list[Param], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of params, consuming their grads.
 
     m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2, with b1 = ADAM_BETA1 and

@@ -23,7 +23,8 @@ from . import binet, classical, fusion, groundtruth, metrics, tiling
 from .errors import ScrollbinError
 from .imagecore import BinaryMask, GrayImage, RgbImage, read_pnm, to_grayscale, write_pnm
 
-THREADS_ENV = "SCROLLBIN_THREADS"
+# The name of each kind of page, as the readers' messages give it.
+_KINDS = {BinaryMask: "a bitmask", GrayImage: "a grayscale image", RgbImage: "a color image"}
 
 
 class _UsageError(Exception):
@@ -39,6 +40,14 @@ def _log(message: str):
     print(message, file=sys.stderr)
 
 
+def _read(path, kind: type):
+    """The file at path, which must decode to kind: another kind is a data error."""
+    img = read_pnm(path)
+    if not isinstance(img, kind):
+        raise ScrollbinError(f"{path}: expected {_KINDS[kind]}, got {_KINDS[type(img)]}")
+    return img
+
+
 def _read_image(path, channels: int) -> GrayImage | RgbImage:
     """The page at path as a `channels`-channel image: color becomes gray
     when 1 channel is asked for. A bitmask, or a gray page where 3 channels
@@ -47,34 +56,25 @@ def _read_image(path, channels: int) -> GrayImage | RgbImage:
     if isinstance(img, RgbImage) and channels == 1:
         img = to_grayscale(img)
     if isinstance(img, BinaryMask) or img.channels != channels:
-        need = "a grayscale or color image" if channels == 1 else "a color image"
-        got = "a bitmask" if isinstance(img, BinaryMask) else "a grayscale image"
-        raise ScrollbinError(f"{path}: expected {need}, got {got}")
+        need = "a grayscale or color image" if channels == 1 else _KINDS[RgbImage]
+        raise ScrollbinError(f"{path}: expected {need}, got {_KINDS[type(img)]}")
     return img
 
 
-def _read_mask(path) -> BinaryMask:
-    img = read_pnm(path)
-    if not isinstance(img, BinaryMask):
-        raise ScrollbinError(f"{path}: expected a PBM bitmask")
-    return img
+def _patch_path(directory, r: int, c: int) -> Path:
+    """Where tile writes, and untile reads, the patch at row r and column c."""
+    return Path(directory) / f"r{r}_c{c}.pnm"
 
 
-def _threads(flag: int | None) -> int:
-    """--threads if given, else SCROLLBIN_THREADS, else 1; below 1 is a usage error."""
-    env = os.environ.get(THREADS_ENV)
-    source = "--threads"
-    if flag is None and env:
-        try:
-            flag = int(env)
-        except ValueError:
-            raise _UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        source = THREADS_ENV
-    if flag is None:
-        return 1
-    if flag < 1:
-        raise _UsageError(f"{source} must be at least 1, got {flag}")
-    return flag
+def _thread_count(text: str) -> int:
+    """The --threads type: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _score_text(value: float | None) -> str:
@@ -101,13 +101,7 @@ def _scores_dict(values: dict) -> dict:
 
 
 def _cmd_fuse(args) -> int:
-    bands = {}
-    for name in ("r", "g", "b"):
-        img = read_pnm(getattr(args, name))
-        if not isinstance(img, GrayImage):
-            raise ScrollbinError(f"band --{name} must be a grayscale image")
-        bands[name] = img
-    fused = fusion.fuse_bands(bands["r"], bands["g"], bands["b"])
+    fused = fusion.fuse_bands(*(_read(path, GrayImage) for path in (args.r, args.g, args.b)))
     write_pnm(fused, args.out)
     return 0
 
@@ -119,14 +113,13 @@ def _cmd_tile(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for r in range(grid.rows):
         for c in range(grid.cols):
-            write_pnm(grid.patch_at(r, c), outdir / f"r{r}_c{c}.pnm")
+            write_pnm(grid.patch_at(r, c), _patch_path(outdir, r, c))
     _log(f"wrote {grid.rows * grid.cols} patches ({grid.rows}x{grid.cols}) to {outdir}")
     return 0
 
 
 def _cmd_untile(args) -> int:
-    indir = Path(args.indir)
-    first = indir / "r0_c0.pnm"
+    first = _patch_path(args.indir, 0, 0)
     if not first.exists():
         raise ScrollbinError(f"{first}: missing first patch")
     sample = read_pnm(first)
@@ -138,7 +131,7 @@ def _cmd_untile(args) -> int:
     patches = []
     for r in range(rows):
         for c in range(cols):
-            patches.append(read_pnm(indir / f"r{r}_c{c}.pnm"))
+            patches.append(read_pnm(_patch_path(args.indir, r, c)))
     grid = tiling.PatchGrid(patch, rows, cols, args.width, args.height, patches)
     write_pnm(tiling.reassemble(grid), args.out)
     return 0
@@ -162,10 +155,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_make_gt(args) -> int:
-    img = read_pnm(args.marked)
-    if not isinstance(img, RgbImage):
-        raise ScrollbinError(f"{args.marked}: marked overlay must be a color image")
-    mask = groundtruth.extract_gt(img, args.rmin, args.gmax, args.bmax)
+    mask = groundtruth.extract_gt(_read(args.marked, RgbImage), args.rmin, args.gmax, args.bmax)
     write_pnm(mask, args.out)
     return 0
 
@@ -185,7 +175,7 @@ def _load_pairs(data_dir: str, channels: int, patch: int):
         if not gt_path.exists():
             raise ScrollbinError(f"{img_path}: missing ground truth {gt_path}")
         img = _read_image(img_path, channels)
-        gt = _read_mask(gt_path)
+        gt = _read(gt_path, BinaryMask)
         if (gt.width, gt.height) != (img.width, img.height):
             raise ScrollbinError(
                 f"{gt_path}: ground truth is {gt.width}x{gt.height}, image {img_path} is {img.width}x{img.height}"
@@ -250,7 +240,7 @@ def _cmd_binarize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    scores = metrics.evaluate(_read_mask(args.pred), _read_mask(args.gt))
+    scores = metrics.evaluate(_read(args.pred, BinaryMask), _read(args.gt, BinaryMask))
     if args.json:
         print(json.dumps(_scores_dict(vars(scores))))
     else:
@@ -287,13 +277,13 @@ def _cmd_evaluate_set(args) -> int:
         """Each line's scores, or the error it would raise on its own: a
         pred that fails to read wins over a bad ground truth."""
         try:
-            truth = metrics.GroundTruth(_read_mask(gt_path))
+            truth = metrics.GroundTruth(_read(gt_path, BinaryMask))
         except (ScrollbinError, OSError) as exc:
             truth = exc
         results = []
         for index in indices:
             try:
-                pred = _read_mask(entries[index][0])
+                pred = _read(entries[index][0], BinaryMask)
                 results.append(truth if isinstance(truth, Exception) else metrics.evaluate(pred, truth))
             except (ScrollbinError, OSError) as exc:
                 results.append(exc)
@@ -335,7 +325,7 @@ def _cmd_evaluate_set(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="scrollbin", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("fuse", help="stack three grayscale band images into an RGB image")
     p.add_argument("--r", required=True, help="band for the R channel (595 nm by convention)")
@@ -393,7 +383,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_thread_count, default=1,
                    help="accepted and ignored: patches run serially, BLAS already uses every core")
     p.set_defaults(func=_cmd_binarize)
 
@@ -406,7 +396,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate-set", help="score a manifest of pred<TAB>gt pairs")
     p.add_argument("--pairs", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.set_defaults(func=_cmd_evaluate_set)
 
     return parser
@@ -416,21 +406,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if "threads" in vars(args):
-            args.threads = _threads(args.threads)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
         return args.func(args)
-    except ScrollbinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScrollbinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -487,7 +487,7 @@ class TestAdam:
         p.grad = np.zeros(1)
         state = AdamState([p])
         for _ in range(10):
-            adam_step([p], state)
+            adam_step([p], state, lr=2e-4)
         assert p.data[0] == 3.25
 
     def test_quadratic_bowl_convergence(self):
@@ -504,8 +504,8 @@ class TestAdam:
         p = Param(np.zeros(3))
         p.grad = np.zeros(3)
         state = AdamState([p])
-        adam_step([p], state)
-        adam_step([p], state)
+        adam_step([p], state, lr=2e-4)
+        adam_step([p], state, lr=2e-4)
         assert state.t == 2
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -543,7 +543,7 @@ class TestAdam:
             p.grad = np.ones((3, 4))
         state = AdamState([ok, fortran])
         with pytest.raises(ScrollbinError, match="C-contiguous"):
-            adam_step([ok, fortran], state)
+            adam_step([ok, fortran], state, lr=2e-4)
         assert state.t == 0
         assert (ok.data == 1).all() and not state.m[0].any() and not state.v[0].any()
 
@@ -553,7 +553,7 @@ class TestAdam:
         p.grad = grad
         state = AdamState([p])
         with pytest.raises(ScrollbinError, match="grad"):
-            adam_step([p], state)
+            adam_step([p], state, lr=2e-4)
         assert state.t == 0 and (p.data == 1).all()
 
 
@@ -585,9 +585,9 @@ class TestAdamOnParts:
         a, b = Param(np.zeros(2)), Param(np.zeros(2))
         a.grad = b.grad = np.ones(2)
         state = AdamState([a, b])
-        adam_step([a], state)
-        adam_step([a], state)
-        adam_step([b], state)
+        adam_step([a], state, lr=2e-4)
+        adam_step([a], state, lr=2e-4)
+        adam_step([b], state, lr=2e-4)
         assert state.steps == [2, 1] and state.t == 2
         # b's first step is bias-corrected as a first step: it moves by lr
         assert b.data[0] == pytest.approx(-2e-4, rel=1e-6)
@@ -597,7 +597,7 @@ class TestAdamOnParts:
         known.grad = stranger.grad = np.ones(3)
         state = AdamState([known])
         with pytest.raises(ScrollbinError, match="no Adam state"):
-            adam_step([known, stranger], state)
+            adam_step([known, stranger], state, lr=2e-4)
         assert state.t == 0 and (known.data == 1).all()
 
 

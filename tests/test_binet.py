@@ -99,6 +99,14 @@ def random_gray(rng, w, h):
     return GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
 
 
+def fuzz_model():
+    """The 2-stage model whose files the property tests edit."""
+    return build_model(1, 3, encoder_channels=(2, 2), decoder_channels=(2, 1))
+
+
+FUZZ_TENSORS = [name for name, _ in fuzz_model().named_tensors()]
+
+
 class TestBuildModel:
     def test_first_conv_shape(self):
         m = build_model(1, 0)
@@ -932,7 +940,7 @@ class TestWeightsFormat:
     @example(mutations=[("flip", 7952, 64), ("insert", 340, 1), ("delete", 9365, 1)], cut=None)
     def test_mutated_file_loads_or_raises_scrollbin_error(self, tmp_path_factory, mutations, cut):
         path = tmp_path_factory.getbasetemp() / "fuzz.bnet"
-        save_weights(build_model(1, 3, encoder_channels=(2, 2), decoder_channels=(2, 1)), path)
+        save_weights(fuzz_model(), path)
         data = bytearray(path.read_bytes())
         for op, pos, byte in mutations:
             pos %= len(data) + 1
@@ -981,6 +989,49 @@ class TestWeightsFormat:
         pair = (patch if loaded.in_channels == 3 else to_grayscale(patch), BinaryMask(rng.random((size, size)) < 0.3))
         with contextlib.suppress(ScrollbinError):
             train([pair], TrainConfig(epochs=1, seed=1), init=loaded)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_TENSORS), st.integers(0, 3), st.integers(1, 8))
+    def test_reshaped_tensor_refused_or_runs(self, tmp_path_factory, name, axis, size):
+        # The tensor's payload is resized with its dims, so _index accepts the file and _rebuild must judge it.
+        model = fuzz_model()
+        owner_name, *attrs, last = name.split(".")
+        owner = stage(model, owner_name)
+        for attr in attrs:
+            owner = getattr(owner, attr)
+        if isinstance(getattr(owner, last), Param):
+            owner, last = getattr(owner, last), "data"
+        shape = list(getattr(owner, last).shape)
+        shape[axis % len(shape)] = size
+        # the old values repeated, so a running variance stays positive
+        setattr(owner, last, np.resize(getattr(owner, last), shape))
+        root = tmp_path_factory.getbasetemp() / "reshaped"
+        data = root / "data"
+        data.mkdir(parents=True, exist_ok=True)
+        path, out, trained = root / "m.bnet", root / "out.pbm", root / "trained.bnet"
+        save_weights(model, path)
+        rng = np.random.default_rng(31)
+        write_pnm(random_gray(rng, 8, 8), data / "page.pgm")
+        write_pnm(BinaryMask(rng.random((8, 8)) < 0.3), data / "page.gt.pbm")
+        runs = [
+            ["binarize", "--model", str(path), "--input", str(data / "page.pgm"), "--out", str(out)],
+            ["train", "--data", str(data), "--mode", "gray", "--init", str(path), "--epochs", "1",
+             "--out", str(trained)],
+        ]
+        outcomes = []
+        for argv, written in zip(runs, (out, trained)):
+            written.unlink(missing_ok=True)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            outcomes.append((code, stderr.getvalue(), written.exists()))
+        try:
+            load_weights(path)
+        except WeightsFormatError as exc:
+            line = f"error: {exc}\n"
+            assert outcomes == [(2, line, False), (2, line, False)]
+            return
+        assert [(code, written) for code, _, written in outcomes] == [(0, True), (0, True)], outcomes
 
     def test_netparams_metadata(self):
         m = tiny_model(seed=123)

@@ -41,7 +41,11 @@ class TestDispatch:
 
     def test_no_subcommand_prints_usage(self, capsys):
         assert main([]) == 1
-        assert "usage" in capsys.readouterr().err.lower()
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: the following arguments are required: command"]
+        assert captured.err.startswith(errors[0] + "\nusage: scrollbin ")
+        assert captured.out == ""
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["evaluate", "--pred", "x.pbm"]) == 1
@@ -159,13 +163,13 @@ class TestEvaluateSet:
         manifest = tmp_path / "pairs.tsv"
         manifest.write_text("".join(f"{pred}\t{gt}\n" for pred, gt in lines))
         reads = []
-        read_mask = cli._read_mask
+        read = cli._read
 
-        def counting(path):
+        def counting(path, kind):
             reads.append(path)
-            return read_mask(path)
+            return read(path, kind)
 
-        monkeypatch.setattr(cli, "_read_mask", counting)
+        monkeypatch.setattr(cli, "_read", counting)
         for threads in ("1", "4"):
             reads.clear()
             assert main(["evaluate-set", "--pairs", str(manifest), "--threads", threads]) == 0
@@ -205,7 +209,7 @@ class TestEvaluateSet:
         captured = capsys.readouterr()
         assert captured.out == ""
         with pytest.raises(cli.ScrollbinError) as line_two:
-            cli._read_mask(bad)
+            cli._read(bad, BinaryMask)
         assert captured.err == f"error: {line_two.value}\n"
 
         # Within one line a pred that fails to read wins over a bad ground truth.
@@ -428,6 +432,34 @@ class TestInputReader:
         assert one_error_line(capsys, page).split(": ", 2)[2] == first.split(": ", 2)[2]
         assert not out.exists() and not (tmp_path / "m.bnet").exists()
 
+    @pytest.mark.parametrize("command", ["fuse", "make-gt", "evaluate", "evaluate-set", "train"])
+    def test_wrong_kind_named_by_every_typed_reader(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(16)
+        gray = write_gray(tmp_path / "gray.pgm", rng.integers(0, 256, (16, 16)))
+        mask = write_mask(tmp_path / "mask.pbm", rng.random((16, 16)) < 0.3)
+        color = tmp_path / "color.ppm"
+        write_pnm(RgbImage(rng.integers(0, 256, (16, 16, 3), dtype=np.uint8)), color)
+        out = tmp_path / "out.pnm"
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{mask}\t{mask}\n{mask}\t{color}\n")
+        data = tmp_path / "data"
+        data.mkdir()
+        write_gray(data / "a.pgm", rng.integers(0, 256, (16, 16)))
+        page_gt = write_gray(data / "a.gt.pbm", rng.integers(0, 256, (16, 16)))  # a gray page under a mask's name
+        argv, bad, need, got = {
+            "fuse": (["fuse", "--r", gray, "--g", str(color), "--b", gray, "--out", str(out)],
+                     color, "a grayscale image", "a color image"),
+            "make-gt": (["make-gt", "--marked", gray, "--out", str(out)], gray, "a color image", "a grayscale image"),
+            "evaluate": (["evaluate", "--pred", gray, "--gt", mask], gray, "a bitmask", "a grayscale image"),
+            "evaluate-set": (["evaluate-set", "--pairs", str(manifest)], color, "a bitmask", "a color image"),
+            "train": (["train", "--data", str(data), "--mode", "gray", "--epochs", "1", "--out", str(out)],
+                      page_gt, "a bitmask", "a grayscale image"),
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: expected {need}, got {got}\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("suffix, mode, channels", [("pgm", "gray", 1), ("ppm", "color", 3), ("ppm", "gray", 1)])
     def test_fresh_model_takes_its_channels_from_the_data(self, tmp_path, monkeypatch, suffix, mode, channels):
         # A 4-stage model takes 16x16 patches; the full one would build 54M weights.
@@ -557,34 +589,47 @@ class TestModelCommands:
         assert code == 0
         assert out1.read_bytes() == out4.read_bytes()
 
-    def test_threads_env_var(self, tmp_path, tiny_weights, monkeypatch):
-        monkeypatch.setenv("SCROLLBIN_THREADS", "3")
+    def test_environment_sets_no_thread_count(self, tmp_path, tiny_weights, monkeypatch, capsys):
+        # the thread count comes from --threads alone; the environment names none
         rng = np.random.default_rng(11)
         src = write_gray(tmp_path / "img.pgm", rng.integers(0, 256, (16, 16)))
-        out = tmp_path / "out.pbm"
-        assert main(["binarize", "--model", tiny_weights, "--input", src, "--out", str(out)]) == 0
-
-    def test_non_integer_threads_env_var_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SCROLLBIN_THREADS", "abc")
-        gt = write_mask(tmp_path / "gt.pbm", np.eye(8, dtype=bool))
+        gt = write_mask(tmp_path / "gt.pbm", rng.random((16, 16)) < 0.3)
         manifest = tmp_path / "m.tsv"
         manifest.write_text(f"{gt}\t{gt}\n")
-        assert main(["evaluate-set", "--pairs", str(manifest)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "SCROLLBIN_THREADS" in errors[0]
+        runs = []
+        for env in (None, "abc"):
+            if env is not None:
+                monkeypatch.setenv("SCROLLBIN_THREADS", env)
+            out = tmp_path / f"out-{env}.pbm"
+            assert main(["binarize", "--model", tiny_weights, "--input", src, "--out", str(out)]) == 0
+            assert main(["evaluate-set", "--pairs", str(manifest), "--json"]) == 0
+            runs.append((out.read_bytes(), capsys.readouterr()))
+        assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0"), (None, "-2")])
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), ("0", "3")])
     def test_threads_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, env):
-        if env is not None:
+        if env is not None:  # a count in the environment does not stand in for a bad flag
             monkeypatch.setenv("SCROLLBIN_THREADS", env)
         gt = write_mask(tmp_path / "gt.pbm", np.eye(8, dtype=bool))
         manifest = tmp_path / "m.tsv"
         manifest.write_text(f"{gt}\t{gt}\n")
-        argv = ["evaluate-set", "--pairs", str(manifest)] + (["--threads", flag] if flag else [])
+        argv = ["evaluate-set", "--pairs", str(manifest), "--threads", flag]
         assert main(argv) == 1
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "at least 1" in errors[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["binarize", "evaluate-set"])
+    def test_non_integer_threads_is_usage_error(self, tmp_path, capsys, command):
+        argv = {
+            "binarize": ["binarize", "--model", "m.bnet", "--input", "a.pgm", "--out", str(tmp_path / "o.pbm")],
+            "evaluate-set": ["evaluate-set", "--pairs", "pairs.tsv"],
+        }[command]
+        assert main(argv + ["--threads", "abc"]) == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: argument --threads: invalid int value: 'abc'"]
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["binarize", "train"])
