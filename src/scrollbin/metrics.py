@@ -14,10 +14,21 @@ point of its stroke component, and precision weights form a [1, 2] band that
 decays over one stroke width away from the ink. Values are internally
 consistent but not bit-compatible with any external evaluation binary.
 
-scipy.ndimage is imported inside the two functions that build the weights,
-_stroke_components and _precision_weights, not at module level: only scoring
-reads it, and importing it would triple the start-up time of every other
-command.
+Both weight maps rest on one exact Euclidean nearest-feature transform in
+numpy (_nearest_feature). Like the linear-time method of Maurer, Qi &
+Raghavan (IEEE PAMI 2003) that scipy.ndimage uses, it makes two separable
+passes: the nearest feature pixel of each column, then a pass along each
+row, here a search outward that stops once no farther column can be nearer.
+Distances are the square roots of exact integer squared distances. Among
+equidistant feature pixels it keeps the one in the smallest column, then the
+smallest row, which is scipy.ndimage.distance_transform_edt's tie rule. For
+the precision map the search also stops at the largest stroke width, since
+past it every precision weight is 1 whichever ink is nearest. So the work
+per pixel grows with its distance to the nearest feature, at most that
+stroke width, and a ground truth of thick blots costs more than one of pen
+strokes. Strokes are 8-connected components, found by uniting the ink runs
+of adjacent rows. A ground truth with no background gives every ink pixel
+recall weight 1, so its pseudo-F equals its F.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ import numpy as np
 from .errors import DimensionMismatchError, ScrollbinError
 from .imagecore import BinaryMask
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+_FAR = 1 << 30  # column offset where a column has no feature; its square outranks any real one
+_BLOCK = 1 << 18  # query pixels per block of rows, which bounds the row search's arrays
 
 
 @dataclass(frozen=True)
@@ -123,10 +135,12 @@ class GroundTruth:
         precision_weights), computed once from one set of stroke components."""
         if self._weights is None:
             g = self.mask.ink
-            if g.any():
+            if g.all():
+                self._weights = np.ones(g.shape), np.full(g.shape, 2.0)
+            elif g.any():
                 dist, *components = _stroke_components(g)
                 recall = _recall_weights(g, dist, *components)
-                del dist  # 8 B/px that the precision weights' own transform does not read
+                del dist  # 8 B per ink pixel that the precision weights' own transform does not read
                 self._weights = recall, _precision_weights(g, *components)
             else:
                 self._weights = np.zeros(g.shape), np.ones(g.shape)
@@ -142,31 +156,177 @@ def _prepared(gt: BinaryMask | GroundTruth) -> GroundTruth:
 # ---------------------------------------------------------------------------
 
 
-def _stroke_components(gt_ink: np.ndarray):
-    """Distance to background, 8-connected labels, and each label's deepest
-    distance (index 0, the background, is 0)."""
-    from scipy import ndimage
+def _column_offsets(feature: np.ndarray) -> np.ndarray:
+    """Signed row offset (int32) from each pixel to the nearest feature pixel
+    of its own column, the upper one on a tie; at least _FAR - height in
+    size where the column has no feature."""
+    rows = np.arange(feature.shape[0], dtype=np.int32)[:, None]
+    up = np.where(feature, rows, np.int32(-_FAR))
+    np.maximum.accumulate(up, axis=0, out=up)
+    up -= rows
+    down = np.where(feature, rows, np.int32(_FAR))
+    np.minimum.accumulate(down[::-1], axis=0, out=down[::-1])
+    down -= rows
+    np.copyto(up, down, where=down < -up)
+    return up
 
-    dist = ndimage.distance_transform_edt(gt_ink)
-    labels, count = ndimage.label(gt_ink, structure=_EIGHT_CONNECTED)
-    comp_max = np.zeros(count + 1)
-    np.maximum.at(comp_max, labels[gt_ink], dist[gt_ink])
+
+def _nearest_feature(feature: np.ndarray, query: np.ndarray, limit: int | None = None):
+    """Exact squared distance from each query pixel to the nearest feature
+    pixel, one block of rows at a time.
+
+    Yields (flat, d2, nearest): the query pixels' flat indices in raster
+    order, their squared distances (int64) and, when limit is given, the flat
+    index of the nearest feature pixel under the module's tie rule. With a
+    limit, the search stops at squared distance limit: a pixel whose d2
+    exceeds it is only known to be farther, and its nearest is meaningless.
+    Without one, nearest is None and the feature must not be empty.
+    """
+    h, w = feature.shape
+    off = _column_offsets(feature)
+    if limit is None:
+        pad, radix, cap = w - 1, 1, 1 << 61
+    else:
+        # A key packs d2 and the column offset j in [-pad, pad], so that the
+        # least key is the nearest pixel in the smallest column.
+        pad = min(w - 1, math.isqrt(limit))
+        radix, cap = 2 * pad + 1, limit + 1
+        if (cap + pad * pad) * radix + 2 * pad >= 1 << 63:
+            raise ScrollbinError(f"a {w}x{h} ground truth is too large to weigh")
+    far = cap * radix + 2 * pad
+    step = max(1, _BLOCK // w)
+    for r0 in range(0, h, step):
+        g2 = off[r0 : r0 + step].astype(np.int64)
+        g2 *= g2
+        keys = np.full((g2.shape[0], w + 2 * pad), far, dtype=np.int64)
+        if limit is None:
+            keys[:, pad : pad + w] = g2
+        else:
+            np.minimum(g2, cap, out=g2)
+            np.multiply(g2, radix, out=keys[:, pad : pad + w])
+        local = np.flatnonzero(query[r0 : r0 + step])
+        best = _row_search(keys.ravel(), local + (local // w * 2 + 1) * pad, pad, radix, limit is not None)
+        flat = local + r0 * w
+        if limit is None:
+            yield flat, best, None
+        else:
+            d2, j = np.divmod(best, radix)
+            nearest = flat + j - pad
+            np.clip(nearest, 0, off.size - 1, out=nearest)  # a pixel beyond the limit may point anywhere
+            nearest += off.ravel()[nearest] * w
+            yield flat, d2, nearest
+
+
+def _row_search(keys: np.ndarray, idx: np.ndarray, pad: int, radix: int, track: bool) -> np.ndarray:
+    """The least key over the columns within pad of each query index in the
+    row-padded keys, each raised by its squared column offset (and, when
+    track is set, by its offset's place in [-pad, pad]).
+
+    Step k visits the columns k away on both sides. A pixel whose best key is
+    below k*k*radix cannot improve, so the query set is compacted once half of
+    it is done, and the search ends when all of it is.
+    """
+    best = keys[idx]
+    if track:
+        best += pad
+    pos = None  # positions of the live entries in best, once compacted
+    live_idx, live_best = idx, best
+    shifted = np.empty(idx.size, dtype=np.int64)
+    cand = np.empty(idx.size, dtype=np.int64)
+    for k in range(1, pad + 1):
+        floor = k * k * radix
+        live = live_best >= floor
+        n = np.count_nonzero(live)
+        if n == 0:
+            break
+        if n <= live_best.size // 2:
+            if pos is not None:
+                best[pos] = live_best
+            keep = np.flatnonzero(live)
+            pos = keep if pos is None else pos[keep]
+            live_idx, live_best = live_idx[keep], live_best[keep]
+            shifted, cand = shifted[:n], cand[:n]
+        for side in (-k, k):
+            np.add(live_idx, side, out=shifted)
+            np.take(keys, shifted, out=cand, mode="clip")
+            cand += floor + (pad + side if track else 0)
+            np.minimum(live_best, cand, out=live_best)
+    if pos is not None:
+        best[pos] = live_best
+    return best
+
+
+def _ink_runs(g: np.ndarray):
+    """Start and end (exclusive) of each horizontal ink run, as flat indices
+    into g with a background column appended to every row, in raster order."""
+    h, w = g.shape
+    padded = np.zeros((h, w + 1), dtype=bool)
+    padded[:, :w] = g
+    edges = np.flatnonzero(np.diff(padded.ravel(), prepend=False))
+    return edges[0::2], edges[1::2]
+
+
+def _run_components(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
+    """Root run of each run's 8-connected component, by union-find over the
+    pairs of runs in adjacent rows whose columns come within one of each
+    other (stride is the padded row length of _ink_runs)."""
+    # The runs below run i that touch it are a contiguous range: those that
+    # end at or after its start and start at or before its end, one row down.
+    lo = np.searchsorted(ends, starts + stride)
+    count = np.maximum(np.searchsorted(starts, ends + stride, side="right") - lo, 0)
+    a = np.repeat(np.arange(starts.size), count)
+    b = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(a.size)
+    parent = np.arange(starts.size)
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        differ = ra != rb
+        a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
+        if not a.size:
+            break
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))  # hook roots to the least
+        while True:  # then point every run at its root
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    return parent
+
+
+def _stroke_components(gt_ink: np.ndarray):
+    """Distance to background of each ink pixel in raster order, 8-connected
+    labels (0 off ink), and each label's deepest distance (index 0 is 0).
+    The ink must not cover the whole map."""
+    d2 = np.concatenate([d2 for _, d2, _ in _nearest_feature(~gt_ink, gt_ink)])
+    dist = np.sqrt(d2.astype(np.float64))
+    del d2
+    starts, ends = _ink_runs(gt_ink)
+    root = _run_components(starts, ends, gt_ink.shape[1] + 1) + 1
+    lengths = ends - starts
+    comp_max = np.zeros(starts.size + 1)
+    np.maximum.at(comp_max, root, np.maximum.reduceat(dist, np.cumsum(lengths) - lengths))
+    labels = np.zeros(gt_ink.shape, dtype=np.int32)
+    labels[gt_ink] = np.repeat(root, lengths)
     return dist, labels, comp_max
 
 
 def _recall_weights(g: np.ndarray, dist, labels, comp_max) -> np.ndarray:
     weights = np.zeros(g.shape, dtype=np.float64)
-    weights[g] = np.clip(dist[g] / comp_max[labels[g]], 0.0, 1.0)
+    weights[g] = np.clip(dist / comp_max[labels[g]], 0.0, 1.0)
     return weights
 
 
 def _precision_weights(g: np.ndarray, labels, comp_max) -> np.ndarray:
-    from scipy import ndimage
-
     stroke_width = 2.0 * comp_max
-    d, (iy, ix) = ndimage.distance_transform_edt(~g, return_indices=True)
-    sw = stroke_width[labels[iy, ix]]
-    return np.where(d <= sw, np.clip(2.0 - d / sw, 1.0, 2.0), 1.0)
+    # Squared distances above limit exceed every stroke width, so weigh 1.
+    limit = int(stroke_width.max() ** 2) + 1
+    weights = np.where(g, 2.0, 1.0)
+    out, label_of = weights.ravel(), labels.ravel()
+    for flat, d2, nearest in _nearest_feature(g, ~g, limit):
+        near = d2 <= limit
+        d = np.sqrt(d2[near].astype(np.float64))
+        sw = stroke_width[label_of[nearest[near]]]
+        out[flat[near]] = np.where(d <= sw, np.clip(2.0 - d / sw, 1.0, 2.0), 1.0)
+    return weights
 
 
 def recall_weights(gt: BinaryMask | GroundTruth) -> np.ndarray:

@@ -406,13 +406,15 @@ def naive_recall_weights(gt: np.ndarray) -> np.ndarray:
     out = np.zeros((h, w))
     if not gt.any():
         return out
+    if gt.all():
+        return np.ones((h, w))  # no background: every ink pixel is as deep as its stroke
     labels = _naive_components(gt)
     background = [(y, x) for y in range(h) for x in range(w) if not gt[y, x]]
     dist = np.zeros((h, w))
     for y in range(h):
         for x in range(w):
             if gt[y, x]:
-                dist[y, x] = _naive_dist_to(background, y, x) if background else np.inf
+                dist[y, x] = _naive_dist_to(background, y, x)
     for comp in range(1, labels.max() + 1):
         ys, xs = np.nonzero(labels == comp)
         peak = dist[ys, xs].max()
@@ -433,7 +435,9 @@ def naive_precision_weights(gt: np.ndarray) -> np.ndarray:
             if gt[y, x]:
                 dist_in[y, x] = _naive_dist_to(background, y, x) if background else np.inf
     peaks = {c: dist_in[labels == c].max() for c in range(1, labels.max() + 1)}
-    ink = [(y, x) for y in range(h) for x in range(w) if gt[y, x]]
+    # Column-major with a strict "<": among equidistant ink pixels the one in
+    # the smallest column, then the smallest row, decides the stroke width.
+    ink = [(y, x) for x in range(w) for y in range(h) if gt[y, x]]
     out = np.ones((h, w))
     for y in range(h):
         for x in range(w):

@@ -511,16 +511,15 @@ class TestTrainErrors:
         assert not out.exists()
 
 
-STARTUP_SCRIPT = """
+NO_SCIPY_SCRIPT = """
 import json, sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 
 import scrollbin.cli
 
-loaded = {"import": "scipy" in sys.modules}
-for argv in json.loads(sys.argv[1]):
-    code = scrollbin.cli.main(argv)
-    loaded[argv[0]] = "scipy" in sys.modules if code == 0 else f"exit {code}"
-print(json.dumps(loaded))
+codes = [scrollbin.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(codes))
 """
 
 
@@ -530,9 +529,9 @@ def child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_only_scoring_loads_scipy(tmp_path, tiny_weights, capsys):
-    """A fresh interpreter runs every non-scoring command without importing
-    scipy; evaluate then loads it and prints what an in-process call prints."""
+def test_no_command_loads_scipy(tmp_path, tiny_weights, capsys):
+    """A fresh interpreter in which scipy cannot be imported runs every
+    subcommand, scoring included, and prints what an in-process call prints."""
     rng = np.random.default_rng(15)
     page = write_gray(tmp_path / "page.pgm", rng.integers(0, 256, (20, 30)))
     gt = write_mask(tmp_path / "gt.pbm", stroke_ink(rng, 20, 30, 4))
@@ -540,24 +539,33 @@ def test_only_scoring_loads_scipy(tmp_path, tiny_weights, capsys):
     data.mkdir()
     write_gray(data / "a.pgm", rng.integers(0, 256, (16, 16)))
     write_mask(data / "a.gt.pbm", rng.random((16, 16)) < 0.3)
-    pred = str(tmp_path / "pred.pbm")
+    marked = rng.integers(0, 256, (20, 30, 3)).astype(np.uint8)
+    marked[5:9, 4:20] = (255, 0, 0)
+    write_pnm(RgbImage(marked), tmp_path / "marked.ppm")
+    pred, sauvola = str(tmp_path / "pred.pbm"), str(tmp_path / "s.pbm")
+    (tmp_path / "pairs.tsv").write_text(f"{pred}\t{gt}\n{sauvola}\t{gt}\n")
     runs = [
         ["binarize", "--model", tiny_weights, "--input", page, "--out", pred],
-        ["baseline", "--method", "sauvola", "--input", page, "--out", str(tmp_path / "s.pbm")],
+        ["baseline", "--method", "sauvola", "--input", page, "--out", sauvola],
+        ["fuse", "--r", page, "--g", page, "--b", page, "--out", str(tmp_path / "f.ppm")],
         ["tile", "--input", page, "--patch", "16", "--outdir", str(tmp_path / "tiles")],
+        ["untile", "--indir", str(tmp_path / "tiles"), "--width", "30", "--height", "20",
+         "--out", str(tmp_path / "u.pgm")],
+        ["make-gt", "--marked", str(tmp_path / "marked.ppm"), "--out", str(tmp_path / "made.pbm")],
         ["train", "--data", str(data), "--mode", "gray", "--init", tiny_weights, "--epochs", "1",
          "--out", str(tmp_path / "m.bnet")],
         ["evaluate", "--pred", pred, "--gt", gt, "--json"],
+        ["evaluate", "--pred", sauvola, "--gt", gt],
+        ["evaluate-set", "--pairs", str(tmp_path / "pairs.tsv"), "--json", "--threads", "2"],
     ]
-    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(runs)],
+    assert {argv[0] for argv in runs} == set(cli.build_parser()._subparsers._group_actions[0].choices)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(runs)],
                           capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    *scores, report = proc.stdout.splitlines()
-    assert json.loads(report) == {
-        "import": False, "binarize": False, "baseline": False, "tile": False, "train": False, "evaluate": True,
-    }
-    assert main(runs[-1]) == 0
-    assert scores == capsys.readouterr().out.splitlines()
+    *printed, codes = proc.stdout.splitlines()
+    assert json.loads(codes) == [0] * len(runs)
+    assert [main(argv) for argv in runs] == [0] * len(runs)
+    assert printed == capsys.readouterr().out.splitlines()
 
 
 class TestModelCommands:

@@ -6,6 +6,12 @@ components (with `ndimage.maximum`) and both weight maps for every pair.
 The current code computes the same float64 values in the same order, so the
 scores must match them exactly, not within a tolerance. The references live
 here rather than in `oracles.py` so that they are compiled only by the tests.
+The one deliberate difference: a ground truth with no background gives every
+recall weight 1, where scipy measures each ink pixel's distance to a pixel
+outside the map.
+
+scipy.ndimage is also the reference for the numpy nearest-feature transform
+and the 8-connected labelling that the weights are built on.
 """
 
 import math
@@ -35,7 +41,7 @@ def pseudo_f_per_pair(pred: BinaryMask, gt: BinaryMask) -> float:
     g = gt.ink
     dist, labels, comp_max = stroke_components_reference(g)
     w_r = np.zeros(g.shape, dtype=np.float64)
-    w_r[g] = np.clip(dist[g] / comp_max[labels[g] - 1], 0.0, 1.0)
+    w_r[g] = 1.0 if g.all() else np.clip(dist[g] / comp_max[labels[g] - 1], 0.0, 1.0)
     d, (iy, ix) = ndimage.distance_transform_edt(~g, return_indices=True)
     sw = (2.0 * comp_max)[labels[iy, ix] - 1]
     w_p = np.where(d <= sw, np.clip(2.0 - d / sw, 1.0, 2.0), 1.0)
@@ -147,7 +153,83 @@ def test_component_maxima_equal_ndimage_maximum(seed):
     rng = np.random.default_rng(seed)
     g = strokes(rng, 30, 45) | (rng.random((30, 45)) < 0.05)
     dist, labels, comp_max = metrics._stroke_components(g)
-    _, _, want = stroke_components_reference(g)
+    want_dist, want_labels, want = stroke_components_reference(g)
     assert comp_max[0] == 0.0
-    assert np.array_equal(comp_max[1:], want)
-    assert np.array_equal(dist, ndimage.distance_transform_edt(g))
+    assert np.array_equal(dist, want_dist[g])
+    # Labels are numbered differently, so compare each pixel's component maximum.
+    assert np.array_equal(comp_max[labels], np.where(g, np.concatenate([[0.0], want])[want_labels], 0.0))
+
+
+def random_masks(seed: int, count: int):
+    """Masks of 1xN, Nx1 and general shapes at densities from 0.02 to 0.95."""
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 1), (1, 23), (17, 1), (2, 31), (29, 3)]
+    for k in range(count):
+        h, w = shapes[k] if k < len(shapes) else tuple(int(n) for n in rng.integers(1, 33, 2))
+        density = (0.02, 0.2, 0.5, 0.8, 0.95)[k % 5]
+        yield rng.random((h, w)) < density
+
+
+def nearest_everywhere(feature, limit=None):
+    """The transform's results for every pixel, as full maps."""
+    d2 = np.zeros(feature.shape, dtype=np.int64)
+    nearest = np.zeros(feature.shape, dtype=np.int64)
+    for flat, block_d2, block_nearest in metrics._nearest_feature(feature, np.ones_like(feature), limit):
+        d2.ravel()[flat] = block_d2
+        if block_nearest is not None:
+            nearest.ravel()[flat] = block_nearest
+    return d2, nearest
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nearest_feature_equals_ndimage_transform(seed):
+    checked = 0
+    for feature in random_masks(seed, 60):
+        if not feature.any():
+            continue
+        h, w = feature.shape
+        d, (iy, ix) = ndimage.distance_transform_edt(~feature, return_indices=True)
+        limit = h * h + w * w  # beyond any distance, so every pixel is exact
+        d2, nearest = nearest_everywhere(feature, limit)
+        assert np.array_equal(np.sqrt(d2.astype(np.float64)), d)
+        assert np.array_equal(nearest, iy * w + ix)  # nearest, then least column, then least row
+        d2_only, _ = nearest_everywhere(feature)
+        assert np.array_equal(d2_only, d2)
+        checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 5, 13, 40])
+def test_nearest_feature_is_exact_within_its_limit(limit):
+    for feature in random_masks(limit, 40):
+        if not feature.any():
+            continue
+        w = feature.shape[1]
+        d, (iy, ix) = ndimage.distance_transform_edt(~feature, return_indices=True)
+        d2, nearest = nearest_everywhere(feature, limit)
+        near = d2 <= limit
+        assert np.array_equal(np.sqrt(d2[near].astype(np.float64)), d[near])
+        assert np.array_equal(nearest[near], (iy * w + ix)[near])
+        assert (d[~near] ** 2 > limit).all()
+
+
+def test_columns_without_feature():
+    feature = np.zeros((12, 9), dtype=bool)
+    feature[3, 2] = feature[8, 2] = feature[5, 7] = True  # every other column is empty
+    d, (iy, ix) = ndimage.distance_transform_edt(~feature, return_indices=True)
+    d2, nearest = nearest_everywhere(feature, 12 * 12 + 9 * 9)
+    assert np.array_equal(np.sqrt(d2.astype(np.float64)), d)
+    assert np.array_equal(nearest, iy * 9 + ix)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_labels_partition_like_ndimage_label(seed):
+    for g in random_masks(100 + seed, 60):
+        if not g.any() or g.all():
+            continue
+        _, labels, _ = metrics._stroke_components(g)
+        want, count = ndimage.label(g, structure=np.ones((3, 3), dtype=bool))
+        assert np.array_equal(labels == 0, want == 0)
+        # The same partition: each label maps to exactly one reference label and back.
+        pairs = np.unique(np.stack([labels[g], want[g]]), axis=1)
+        assert pairs.shape[1] == count == np.unique(labels[g]).size
