@@ -1,5 +1,5 @@
-"""Image value types plus bit-exact PNM (P1-P6) codecs and grayscale
-conversion.
+"""Image value types plus bit-exact PNM codecs (decodes P1-P6, encodes
+P4-P6) and grayscale conversion.
 
 Pixel storage is numpy, row-major:
   GrayImage.pixels   uint8, shape (height, width)
@@ -212,37 +212,24 @@ def read_pnm(path) -> Image:
     return BinaryMask(pixels.view(np.bool_)) if kind is BinaryMask else kind(pixels)
 
 
-def write_pnm(image: Image, path, binary_encoding: bool = True) -> None:
-    """Encode an image as PNM; the raw formats P4/P5/P6 by default.
+def write_pnm(image: Image, path) -> None:
+    """Encode an image as raw PNM.
 
-    GrayImage -> P5 (or P2), RgbImage -> P6 (or P3), BinaryMask -> P4 (or P1)
-    with ink written as 1 (black). read_pnm(write_pnm(x)) reproduces x
-    bit-exactly for every image type.
+    GrayImage -> P5, RgbImage -> P6, BinaryMask -> P4 with ink written as 1
+    (black). read_pnm(write_pnm(x)) reproduces x bit-exactly for every image
+    type.
     """
-    magic = next(
-        (m for m, (kind, plain) in _FORMATS.items() if isinstance(image, kind) and plain != binary_encoding),
-        None,
-    )
+    magic = next((m for m, (kind, plain) in _FORMATS.items() if isinstance(image, kind) and not plain), None)
     if magic is None:
         raise ScrollbinError(f"cannot encode object of type {type(image).__name__}")
     is_mask = isinstance(image, BinaryMask)
     header = f"{magic.decode()}\n{image.width} {image.height}\n" + ("" if is_mask else "255\n")
     rows = image.array.view(np.uint8).reshape(image.height, -1)
-    if not binary_encoding:
-        payload = _plain_payload(rows)
-    elif is_mask:
-        payload = np.packbits(rows, axis=1).tobytes()
-    else:
-        payload = rows.tobytes()
+    payload = np.packbits(rows, axis=1).tobytes() if is_mask else rows.tobytes()
 
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(payload)
-
-
-def _plain_payload(rows: np.ndarray) -> bytes:
-    lines = [" ".join(str(v) for v in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 # ---------------------------------------------------------------------------

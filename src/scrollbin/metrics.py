@@ -14,20 +14,23 @@ point of its stroke component, and precision weights form a [1, 2] band that
 decays over one stroke width away from the ink. Values are internally
 consistent but not bit-compatible with any external evaluation binary.
 
-Both weight maps rest on one exact Euclidean nearest-feature transform in
+Both weight maps rest on one exact Euclidean nearest-feature search in
 numpy (_nearest_feature). Like the linear-time method of Maurer, Qi &
 Raghavan (IEEE PAMI 2003) that scipy.ndimage uses, it makes two separable
 passes: the nearest feature pixel of each column, then a pass along each
 row, here a search outward that stops once no farther column can be nearer.
 Distances are the square roots of exact integer squared distances. Among
 equidistant feature pixels it keeps the one in the smallest column, then the
-smallest row, which is scipy.ndimage.distance_transform_edt's tie rule. For
-the precision map the search also stops at the largest stroke width, since
-past it every precision weight is 1 whichever ink is nearest. So the work
-per pixel grows with its distance to the nearest feature, at most that
-stroke width, and a ground truth of thick blots costs more than one of pen
-strokes. Strokes are 8-connected components, found by uniting the ink runs
-of adjacent rows. A ground truth with no background gives every ink pixel
+smallest row, which is scipy.ndimage.distance_transform_edt's tie rule.
+Each map passes the squared distance where its search stops: the recall map
+the squared diagonal, which no distance exceeds, the precision map the
+squared largest stroke width, past which every precision weight is 1. So the
+work per pixel grows with its distance to the nearest feature, and thick
+blots cost more than pen strokes. One int64 key packs a squared distance
+with its column offset, so a ground truth is too large to weigh from
+1,321,124 pixels wide for one row, or 1,154,109 a side for a square.
+Strokes are 8-connected components, found by uniting the ink runs of
+adjacent rows. A ground truth with no background gives every ink pixel
 recall weight 1, so its pseudo-F equals its F.
 """
 
@@ -137,13 +140,11 @@ class GroundTruth:
             g = self.mask.ink
             if g.all():
                 self._weights = np.ones(g.shape), np.full(g.shape, 2.0)
-            elif g.any():
+            else:
                 dist, *components = _stroke_components(g)
                 recall = _recall_weights(g, dist, *components)
                 del dist  # 8 B per ink pixel that the precision weights' own transform does not read
                 self._weights = recall, _precision_weights(g, *components)
-            else:
-                self._weights = np.zeros(g.shape), np.ones(g.shape)
         return self._weights
 
 
@@ -171,64 +172,50 @@ def _column_offsets(feature: np.ndarray) -> np.ndarray:
     return up
 
 
-def _nearest_feature(feature: np.ndarray, query: np.ndarray, limit: int | None = None):
+def _nearest_feature(feature: np.ndarray, query: np.ndarray, limit: int):
     """Exact squared distance from each query pixel to the nearest feature
     pixel, one block of rows at a time.
 
     Yields (flat, d2, nearest): the query pixels' flat indices in raster
-    order, their squared distances (int64) and, when limit is given, the flat
-    index of the nearest feature pixel under the module's tie rule. With a
-    limit, the search stops at squared distance limit: a pixel whose d2
-    exceeds it is only known to be farther, and its nearest is meaningless.
-    Without one, nearest is None and the feature must not be empty.
+    order, their squared distances (int64) and the flat index of the nearest
+    feature pixel under the module's tie rule. The search stops at squared
+    distance limit: a pixel whose d2 exceeds it is only known to be farther,
+    and its nearest is meaningless.
     """
     h, w = feature.shape
     off = _column_offsets(feature)
-    if limit is None:
-        pad, radix, cap = w - 1, 1, 1 << 61
-    else:
-        # A key packs d2 and the column offset j in [-pad, pad], so that the
-        # least key is the nearest pixel in the smallest column.
-        pad = min(w - 1, math.isqrt(limit))
-        radix, cap = 2 * pad + 1, limit + 1
-        if (cap + pad * pad) * radix + 2 * pad >= 1 << 63:
-            raise ScrollbinError(f"a {w}x{h} ground truth is too large to weigh")
-    far = cap * radix + 2 * pad
+    # A key packs d2 and the column offset j in [-pad, pad], so that the
+    # least key is the nearest pixel in the smallest column.
+    pad = min(w - 1, math.isqrt(limit))
+    radix, cap = 2 * pad + 1, limit + 1
+    if (cap + pad * pad) * radix + 2 * pad >= 1 << 63:  # the largest key _row_search forms
+        raise ScrollbinError(f"a {w}x{h} ground truth is too large to weigh")
     step = max(1, _BLOCK // w)
     for r0 in range(0, h, step):
-        g2 = off[r0 : r0 + step].astype(np.int64)
-        g2 *= g2
-        keys = np.full((g2.shape[0], w + 2 * pad), far, dtype=np.int64)
-        if limit is None:
-            keys[:, pad : pad + w] = g2
-        else:
-            np.minimum(g2, cap, out=g2)
-            np.multiply(g2, radix, out=keys[:, pad : pad + w])
+        g2 = np.square(off[r0 : r0 + step], dtype=np.int64)
+        np.minimum(g2, cap, out=g2)
+        keys = np.full((g2.shape[0], w + 2 * pad), cap * radix, dtype=np.int64)
+        np.multiply(g2, radix, out=keys[:, pad : pad + w])
         local = np.flatnonzero(query[r0 : r0 + step])
-        best = _row_search(keys.ravel(), local + (local // w * 2 + 1) * pad, pad, radix, limit is not None)
+        best = _row_search(keys.ravel(), local + (local // w * 2 + 1) * pad, pad, radix)
         flat = local + r0 * w
-        if limit is None:
-            yield flat, best, None
-        else:
-            d2, j = np.divmod(best, radix)
-            nearest = flat + j - pad
-            np.clip(nearest, 0, off.size - 1, out=nearest)  # a pixel beyond the limit may point anywhere
-            nearest += off.ravel()[nearest] * w
-            yield flat, d2, nearest
+        d2, j = np.divmod(best, radix)
+        nearest = flat + j - pad
+        np.clip(nearest, 0, off.size - 1, out=nearest)  # a pixel beyond the limit may point anywhere
+        nearest += off.ravel()[nearest] * w
+        yield flat, d2, nearest
 
 
-def _row_search(keys: np.ndarray, idx: np.ndarray, pad: int, radix: int, track: bool) -> np.ndarray:
+def _row_search(keys: np.ndarray, idx: np.ndarray, pad: int, radix: int) -> np.ndarray:
     """The least key over the columns within pad of each query index in the
-    row-padded keys, each raised by its squared column offset (and, when
-    track is set, by its offset's place in [-pad, pad]).
+    row-padded keys, each raised by its squared column offset times radix
+    and by its offset's place in [-pad, pad].
 
     Step k visits the columns k away on both sides. A pixel whose best key is
     below k*k*radix cannot improve, so the query set is compacted once half of
     it is done, and the search ends when all of it is.
     """
-    best = keys[idx]
-    if track:
-        best += pad
+    best = keys[idx] + pad
     pos = None  # positions of the live entries in best, once compacted
     live_idx, live_best = idx, best
     shifted = np.empty(idx.size, dtype=np.int64)
@@ -249,7 +236,7 @@ def _row_search(keys: np.ndarray, idx: np.ndarray, pad: int, radix: int, track: 
         for side in (-k, k):
             np.add(live_idx, side, out=shifted)
             np.take(keys, shifted, out=cand, mode="clip")
-            cand += floor + (pad + side if track else 0)
+            cand += floor + pad + side
             np.minimum(live_best, cand, out=live_best)
     if pos is not None:
         best[pos] = live_best
@@ -296,7 +283,8 @@ def _stroke_components(gt_ink: np.ndarray):
     """Distance to background of each ink pixel in raster order, 8-connected
     labels (0 off ink), and each label's deepest distance (index 0 is 0).
     The ink must not cover the whole map."""
-    d2 = np.concatenate([d2 for _, d2, _ in _nearest_feature(~gt_ink, gt_ink)])
+    h, w = gt_ink.shape
+    d2 = np.concatenate([d2 for _, d2, _ in _nearest_feature(~gt_ink, gt_ink, (h - 1) ** 2 + (w - 1) ** 2)])
     dist = np.sqrt(d2.astype(np.float64))
     del d2
     starts, ends = _ink_runs(gt_ink)

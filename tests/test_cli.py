@@ -84,6 +84,22 @@ class TestEvaluate:
         gt = write_mask(tmp_path / "g.pbm", np.zeros((5, 4)))
         assert main(["evaluate", "--pred", pred, "--gt", gt]) == 2
 
+    def test_ground_truth_too_wide_to_weigh_is_data_error(self, tmp_path, capsys):
+        # The pseudo-F search packs each squared distance, up to the squared
+        # diagonal, with a column offset into one int64: a one-row strip fits
+        # up to 1,321,123 pixels wide.
+        for width, code in ((1_321_123, 0), (1_321_124, 2)):
+            ink = np.zeros((1, width), dtype=bool)
+            ink[0, ::10] = True
+            path = write_mask(tmp_path / f"strip{width}.pbm", ink)
+            assert main(["evaluate", "--pred", path, "--gt", path, "--json"]) == code
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert json.loads(out)["pf"] == 1.0 and err == ""
+            else:
+                assert out == ""
+                assert err == f"error: a {width}x1 ground truth is too large to weigh\n"
+
 
 class TestEvaluateSet:
     def test_manifest_aggregation(self, tmp_path, capsys):

@@ -232,34 +232,31 @@ class TestWritePnm:
         write_pnm(GrayImage(np.array([[7]], dtype=np.uint8)), path)
         assert path.read_bytes() == b"P5\n1 1\n255\n\x07"
 
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_roundtrip_gray(self, tmp_path, binary):
+    def test_roundtrip_gray(self, tmp_path):
         rng = np.random.default_rng(1)
         for trial in range(20):
             h, w = rng.integers(1, 40, 2)
             img = GrayImage(rng.integers(0, 256, (h, w), dtype=np.uint8))
             path = tmp_path / f"g{trial}.pgm"
-            write_pnm(img, path, binary_encoding=binary)
+            write_pnm(img, path)
             assert np.array_equal(read_pnm(path).pixels, img.pixels)
 
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_roundtrip_rgb(self, tmp_path, binary):
+    def test_roundtrip_rgb(self, tmp_path):
         rng = np.random.default_rng(2)
         for trial in range(10):
             h, w = rng.integers(1, 40, 2)
             img = RgbImage(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
             path = tmp_path / f"c{trial}.ppm"
-            write_pnm(img, path, binary_encoding=binary)
+            write_pnm(img, path)
             assert np.array_equal(read_pnm(path).pixels, img.pixels)
 
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_roundtrip_mask(self, tmp_path, binary):
+    def test_roundtrip_mask(self, tmp_path):
         rng = np.random.default_rng(3)
         for trial in range(10):
             h, w = rng.integers(1, 40, 2)
             mask = BinaryMask(rng.random((h, w)) < 0.5)
             path = tmp_path / f"m{trial}.pbm"
-            write_pnm(mask, path, binary_encoding=binary)
+            write_pnm(mask, path)
             assert np.array_equal(read_pnm(path).ink, mask.ink)
 
 

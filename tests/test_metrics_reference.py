@@ -21,6 +21,7 @@ import pytest
 from scipy import ndimage
 
 from scrollbin import metrics
+from scrollbin.errors import ScrollbinError
 from scrollbin.imagecore import BinaryMask
 from scrollbin.metrics import GroundTruth, ImageScores, confusion, evaluate, f_measure, nubn, psnr
 
@@ -170,33 +171,57 @@ def random_masks(seed: int, count: int):
         yield rng.random((h, w)) < density
 
 
-def nearest_everywhere(feature, limit=None):
+def nearest_everywhere(feature, limit):
     """The transform's results for every pixel, as full maps."""
     d2 = np.zeros(feature.shape, dtype=np.int64)
     nearest = np.zeros(feature.shape, dtype=np.int64)
     for flat, block_d2, block_nearest in metrics._nearest_feature(feature, np.ones_like(feature), limit):
         d2.ravel()[flat] = block_d2
-        if block_nearest is not None:
-            nearest.ravel()[flat] = block_nearest
+        nearest.ravel()[flat] = block_nearest
     return d2, nearest
+
+
+def far_apart_features():
+    """37x41 maps whose pixels lie far from their nearest feature: one
+    feature pixel, a diagonal, an anti-diagonal, and feature everywhere but
+    a 27x29 square."""
+    single = np.zeros((37, 41), dtype=bool)
+    single[11, 30] = True
+    diagonal = np.eye(37, 41, dtype=bool)
+    anti = diagonal[:, ::-1].copy()
+    hole = np.ones((37, 41), dtype=bool)
+    hole[5:32, 6:35] = False
+    return [single, diagonal, anti, hole]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_nearest_feature_equals_ndimage_transform(seed):
     checked = 0
-    for feature in random_masks(seed, 60):
+    for feature in [*random_masks(seed, 60), *far_apart_features()]:
         if not feature.any():
             continue
         h, w = feature.shape
         d, (iy, ix) = ndimage.distance_transform_edt(~feature, return_indices=True)
-        limit = h * h + w * w  # beyond any distance, so every pixel is exact
+        limit = (h - 1) ** 2 + (w - 1) ** 2  # the squared diagonal: every pixel is exact
         d2, nearest = nearest_everywhere(feature, limit)
         assert np.array_equal(np.sqrt(d2.astype(np.float64)), d)
         assert np.array_equal(nearest, iy * w + ix)  # nearest, then least column, then least row
-        d2_only, _ = nearest_everywhere(feature)
-        assert np.array_equal(d2_only, d2)
         checked += 1
-    assert checked > 50
+    assert checked > 54
+
+
+def test_limits_at_the_int64_packing_bound():
+    # Keys pack d2 (up to limit + 1) with the column offset in one int64. On
+    # a map 3 wide (offsets within 2, radix 5) the largest key the row search
+    # forms is (limit + 5) * 5 + 4, so the largest limit must still be exact.
+    feature = np.zeros((2, 3), dtype=bool)
+    feature[0, 0] = True
+    largest = ((1 << 63) - 5) // 5 - 5
+    d2, nearest = nearest_everywhere(feature, largest)
+    assert d2.tolist() == [[0, 1, 4], [1, 2, 5]] and not nearest.any()
+    for limit in (largest + 1, 1 << 62):
+        with pytest.raises(ScrollbinError, match="a 3x2 ground truth is too large to weigh"):
+            nearest_everywhere(feature, limit)
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2, 5, 13, 40])
