@@ -8,13 +8,15 @@ order, passing back whatever the forward saved. A *_bwd sets the gradients
 of its params rather than accumulating into them, so a param used twice in
 one forward would need its caller to sum the two gradients.
 
-Convolutions are 4x4 kernels with stride 2 and padding 1. Two helpers serve
-all four conv ops, forward and backward. _corr builds (channel*tap, pixel)
-columns and does one GEMM, whose result is already NCHW at batch 1.
+Convolutions are 4x4 kernels with stride 2 and padding 1. Three helpers
+serve all four conv ops, forward and backward. _corr builds (channel*tap,
+pixel) columns and does one GEMM, whose result is already NCHW at batch 1.
 _corr_input_grad, the exact adjoint and so the transposed convolution, does
-one GEMM for all taps and then sums the four taps of each output phase. Ops
-preserve the input dtype, so gradient checks can run the whole stack in
-float64 while training runs in float32.
+one GEMM for all taps and then sums the four taps of each output phase.
+_corr_weight_grad gives every weight gradient, conv's and deconv's, from
+the gradient and the columns of the correlation's input. Ops preserve the
+input dtype, so gradient checks can run the whole stack in float64
+while training runs in float32.
 
 batchnorm_fwd and dropout are the training forms only: inference uses
 batchnorm_eval_affine and skips dropout. The pix2pix settings are constants

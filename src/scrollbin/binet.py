@@ -19,7 +19,7 @@ import os
 import stat
 import struct
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -535,7 +535,7 @@ def binarize_image(source: NetParams | WeightsFile, img: GrayImage | RgbImage) -
     for lo in range(0, len(grid.patches), GROUP):
         outs = _forward_group(params, read, [normalize_input(p) for p in grid.patches[lo : lo + GROUP]])
         masks.extend(denormalize_output(out) for out in outs)
-    return reassemble(grid.with_patches(masks))
+    return reassemble(replace(grid, patches=masks))
 
 
 # ---------------------------------------------------------------------------

@@ -92,15 +92,16 @@ each other at window 71, 384 ran fastest at window 301, and 384 peaks under 6 MB
 """
 
 
-def _check_window(window: int) -> int:
-    """Half-width h of the centered window, which spans 2h+1 pixels.
+def _half_widths(window: int, h: int, w: int) -> tuple[int, int]:
+    """Half-widths (hy, hx) on an h x w image of the window, which spans 2h+1 pixels.
 
     Even sizes snap up to the next odd one (70 becomes 71), so windows always
-    center on their pixel.
+    center on their pixel. A half-width past the image gives the same clamped
+    windows, so each is capped at its side less one.
     """
     if window < 3:
         raise ScrollbinError(f"window must be >= 3, got {window}")
-    return window // 2
+    return min(window // 2, h - 1), min(window // 2, w - 1)
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -110,8 +111,7 @@ def _check_finite(name: str, value: float) -> None:
 
 
 def _window_bounds(size: int, half: int):
-    """Clamped [lo, hi) of each window; a half past the image clamps alike."""
-    half = min(half, size)
+    """Clamped [lo, hi) of each window."""
     idx = np.arange(size)
     lo = np.clip(idx - half, 0, size)
     hi = np.clip(idx + half + 1, 0, size)
@@ -144,9 +144,8 @@ def _local_threshold(img: GrayImage, window: int, threshold) -> BinaryMask:
     to absorb the roundoff of the mean-square subtraction. A threshold past
     float64's range is the +-inf it tends to, and keeps every pixel or none.
     """
-    half = _check_window(window)
     h, w = img.pixels.shape
-    hy, hx = min(half, h - 1), min(half, w - 1)
+    hy, hx = _half_widths(window, h, w)
     (y0, y1), (x0, x1) = _window_bounds(h, hy), _window_bounds(w, hx)
     ink = np.empty((h, w), dtype=np.bool_)
     for r, a in itertools.product(range(0, h, TILE), range(0, w, TILE)):
@@ -330,11 +329,9 @@ def otsu_local(img: GrayImage, window: int = DEFAULT_WINDOW) -> BinaryMask:
     every product is an integer below 2**53 (see _sweep_dtypes), and
     otherwise in exact int64.
     """
-    half = _check_window(window)
     pixels = img.pixels
     h, w = pixels.shape
-    # A half-width past the image gives the same clamped windows.
-    hy, hx = min(half, h - 1), min(half, w - 1)
+    hy, hx = _half_widths(window, h, w)
     y0, y1 = _window_bounds(h, hy)
     rows = min(h, 2 * hy + 1)
     dtypes = _sweep_dtypes(rows * min(w, 2 * hx + 1), rows * min(w, TILE + 2 * hx))

@@ -108,7 +108,7 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_tile(args) -> int:
     img = read_pnm(args.input)
-    grid = tiling.split(img, args.patch, args.pad)
+    grid = tiling.split(img, args.patch)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for r in range(grid.rows):
@@ -337,7 +337,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tile", help="split an image into fixed-size patches")
     p.add_argument("--input", required=True)
     p.add_argument("--patch", type=int, default=binet.PATCH)
-    p.add_argument("--pad", choices=tiling.PAD_MODES, default="replicate")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_tile)
 

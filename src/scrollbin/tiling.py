@@ -1,8 +1,8 @@
 """Split arbitrary-size images into fixed-size square patches and reassemble.
 
 Tiles are non-overlapping and row-major. Edge tiles are padded on the right
-and bottom to the full patch size; the default padding replicates edge pixels
-so no artificial ink/background boundary is created at tile borders.
+and bottom to the full patch size by replicating the last column and row, so
+no artificial ink/background boundary is created at tile borders.
 Reassembly discards the padding and restores the original dimensions, so
 reassemble(split(x)) == x for any image.
 """
@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ScrollbinError
 from .imagecore import Image
-
-PAD_MODES = ("replicate", "zero", "white")
 
 MAX_PAD_PIXELS = 1 << 26
 """Most pixels of padding split may add to an image (64 Mpx, 64 MiB per 8-bit
@@ -43,25 +41,9 @@ class PatchGrid:
     def patch_at(self, row: int, col: int):
         return self.patches[row * self.cols + col]
 
-    def with_patches(self, patches: list) -> "PatchGrid":
-        """Same geometry, new patch contents (e.g. per-patch network outputs)."""
-        return PatchGrid(self.patch_size, self.rows, self.cols, self.orig_width, self.orig_height, list(patches))
 
-
-def _pad_array(arr: np.ndarray, pad_h: int, pad_w: int, mode: str) -> np.ndarray:
-    spatial = ((0, pad_h), (0, pad_w)) + ((0, 0),) * (arr.ndim - 2)
-    if mode == "replicate":
-        return np.pad(arr, spatial, mode="edge")
-    if mode == "zero":
-        return np.pad(arr, spatial, mode="constant", constant_values=0)
-    if mode == "white":
-        fill = 255 if arr.dtype == np.uint8 else 0
-        return np.pad(arr, spatial, mode="constant", constant_values=fill)
-    raise ScrollbinError(f"unknown pad mode {mode!r}; expected one of {PAD_MODES}")
-
-
-def split(img: Image, patch_size: int, pad_mode: str = "replicate") -> PatchGrid:
-    """Tile an image into a PatchGrid of patch_size squares."""
+def split(img: Image, patch_size: int) -> PatchGrid:
+    """Tile an image into a PatchGrid of patch_size squares, replicating its edges."""
     if patch_size < 1:
         raise ScrollbinError(f"patch_size must be >= 1, got {patch_size}")
     rows = -(-img.height // patch_size)
@@ -72,7 +54,8 @@ def split(img: Image, patch_size: int, pad_mode: str = "replicate") -> PatchGrid
             f"patch_size {patch_size} would pad the {img.width}x{img.height} image by "
             f"{padding} pixels, more than the {MAX_PAD_PIXELS} allowed"
         )
-    padded = _pad_array(img.array, rows * patch_size - img.height, cols * patch_size - img.width, pad_mode)
+    spatial = ((0, rows * patch_size - img.height), (0, cols * patch_size - img.width))
+    padded = np.pad(img.array, spatial + ((0, 0),) * (img.array.ndim - 2), mode="edge")
     patches = []
     for r in range(rows):
         for c in range(cols):

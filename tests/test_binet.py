@@ -4,6 +4,7 @@ import os
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -560,8 +561,8 @@ class TestBinarizeImage:
             pixels = rng.integers(0, 256, shape, dtype=np.uint8)
             img = RgbImage(pixels) if m.in_channels == 3 else GrayImage(pixels)
             grid = split(img, loaded.patch)
-            per_patch = reassemble(grid.with_patches(
-                [denormalize_output(forward(loaded, normalize_input(p))) for p in grid.patches]
+            per_patch = reassemble(replace(
+                grid, patches=[denormalize_output(forward(loaded, normalize_input(p))) for p in grid.patches]
             ))
             with WeightsFile(path) as weights:
                 streamed = binarize_image(weights, img)

@@ -381,6 +381,18 @@ class TestImageCommands:
         assert err.count("\n") == 1 and err.startswith("error:") and "would pad" in err
         assert not outdir.exists()
 
+    def test_tile_pad_flag_is_usage_error(self, tmp_path, capsys):
+        # edge replication is the only padding, so tile takes no --pad
+        src = write_gray(tmp_path / "img.pgm", np.zeros((37, 53)))
+        outdir = tmp_path / "patches"
+        argv = ["tile", "--input", src, "--patch", "16", "--pad", "zero", "--outdir", str(outdir)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: unrecognized arguments: --pad zero"]
+        assert captured.err.startswith(errors[0] + "\nusage: scrollbin ")
+        assert captured.out == "" and not outdir.exists()
+
     def test_baseline_accepts_color_input(self, tmp_path):
         rng = np.random.default_rng(7)
         img = RgbImage(rng.integers(0, 256, (12, 12, 3), dtype=np.uint8))

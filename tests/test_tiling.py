@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,24 +30,19 @@ def test_exact_fit_single_patch():
     assert np.array_equal(grid.patches[0].pixels, img.pixels)
 
 
-def test_edge_padding_replicates():
+@pytest.mark.parametrize("kind", [GrayImage, RgbImage, BinaryMask])
+def test_edge_padding_replicates(kind):
     rng = np.random.default_rng(1)
-    img = random_gray(rng, 100, 100)
-    grid = split(img, 256)
-    patch = grid.patches[0].pixels
-    assert np.array_equal(patch[:100, :100], img.pixels)
+    shape = (70, 100) + ((3,) if kind is RgbImage else ())
+    arr = rng.random(shape) < 0.5 if kind is BinaryMask else rng.integers(0, 256, shape, dtype=np.uint8)
+    patch = split(kind(arr), 128).patches[0]
+    assert type(patch) is kind
+    out = patch.array
+    assert np.array_equal(out[:70, :100], arr)
     # right padding copies the last column, bottom padding the last row
-    assert np.all(patch[:100, 100:] == img.pixels[:, -1:])
-    assert np.all(patch[100:, :100] == img.pixels[-1:, :])
-    assert np.all(patch[100:, 100:] == img.pixels[-1, -1])
-
-
-def test_zero_and_white_padding():
-    img = GrayImage(np.full((3, 3), 9, dtype=np.uint8))
-    assert np.all(split(img, 4, "zero").patches[0].pixels[3, :] == 0)
-    assert np.all(split(img, 4, "white").patches[0].pixels[3, :] == 255)
-    with pytest.raises(ScrollbinError):
-        split(img, 4, "mirror")
+    assert np.all(out[:70, 100:] == arr[:, -1:])
+    assert np.all(out[70:, :100] == arr[-1:, :])
+    assert np.all(out[70:, 100:] == arr[-1, -1])
 
 
 def test_roundtrip_random_sizes():
@@ -78,7 +74,7 @@ def test_locality_of_patch_edits():
     edited = [BinaryMask(np.zeros((128, 128), dtype=bool)) for _ in grid.patches]
     target = 1 * grid.cols + 2  # row 1, col 2
     edited[target] = BinaryMask(np.ones((128, 128), dtype=bool))
-    out = reassemble(grid.with_patches(edited))
+    out = reassemble(replace(grid, patches=edited))
     assert isinstance(out, BinaryMask)
     expect = np.zeros((300, 300), dtype=bool)
     expect[128:256, 256:300] = True
@@ -89,11 +85,11 @@ def test_reassemble_validates_grid():
     rng = np.random.default_rng(5)
     grid = split(random_gray(rng, 100, 100), 64)
     with pytest.raises(ScrollbinError):
-        reassemble(grid.with_patches(grid.patches[:-1]))
+        reassemble(replace(grid, patches=grid.patches[:-1]))
     bad = list(grid.patches)
     bad[0] = GrayImage(np.zeros((32, 32), dtype=np.uint8))
     with pytest.raises(ScrollbinError):
-        reassemble(grid.with_patches(bad))
+        reassemble(replace(grid, patches=bad))
 
 
 @pytest.mark.parametrize("width,height", [(0, 40), (-5, 40), (53, 0)])
